@@ -16,10 +16,10 @@ worker per CPU core.
 
 Every experiment-axis flag the four subcommands share — network shape,
 routing + fault injection, link bandwidth, traffic driver, quantile summary,
-event scheduler, execution backend — is *generated* from the declarative
-registry in :mod:`repro.core.spec` (``add_axis_flags``), which is also where
-each axis's ``$REPRO_*`` environment knob, default and label-folding rule are
-declared; run ``python -m repro.core.spec --table`` for the full table.
+event scheduler — is *generated* from the declarative registry in
+:mod:`repro.core.spec` (``add_axis_flags``), which is also where each axis's
+``$REPRO_*`` environment knob, default and label-folding rule are declared;
+run ``python -m repro.core.spec --table`` for the full table.
 ``sweep`` swaps the registry's ``list`` axes (``--num-controllers``,
 ``--link-bandwidth``) for value-list spellings that become sweep dimensions,
 and owns plural ``--topologies``/``--num-cubes`` flags of its own.  The
@@ -40,7 +40,8 @@ from .core.spec import ExperimentSpec, add_axis_flags
 from .experiments import (FIGURE_REGISTRY, SCALES, EvaluationSuite,
                           default_cache_dir, fig_topology, full_report)
 from .network.topology import TOPOLOGY_BUILDERS
-from .system import CONFIG_ORDER, SystemKind, make_system_config, run_workload
+from .system import (CONFIG_ORDER, SystemKind, make_system_config,
+                     prepare_program, run_program)
 from .workloads import ALL_WORKLOADS, TrafficSpec
 
 
@@ -195,7 +196,7 @@ def _make_suite(args: argparse.Namespace, spec: ExperimentSpec,
     # The sweep subcommand has no suite-wide network (its options apply per
     # swept cell instead), so it passes suite_network=False.
     if suite_network and spec.explicit("network"):
-        with _network_usage_errors():
+        with _usage_errors():
             net = spec.network_config()
     return EvaluationSuite(args.scale, workloads=workloads, workers=args.workers,
                            cache_dir=cache_dir, net=net,
@@ -203,11 +204,12 @@ def _make_suite(args: argparse.Namespace, spec: ExperimentSpec,
 
 
 @contextlib.contextmanager
-def _network_usage_errors():
-    """Turn network-shape ValueErrors into clean CLI errors.
+def _usage_errors():
+    """Turn input-validation ValueErrors into clean CLI errors.
 
-    An impossible ``--topology``/``--num-cubes`` request is a usage mistake
-    like an unknown ``--config``; the user gets the builder's actionable
+    An impossible ``--topology``/``--num-cubes`` request, a thread count above
+    the configuration's core count or an unknown ``--param`` name is a usage
+    mistake like an unknown ``--config``; the user gets the actionable
     message, not a traceback.
     """
     try:
@@ -218,7 +220,7 @@ def _network_usage_errors():
 
 def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
     params = _parse_workload_params(args.param)
-    # The driver knobs ride inside the ordinary params dict; run_workload
+    # The driver knobs ride inside the ordinary params dict; prepare_program
     # splits them back out (and the closed driver adds zero keys, keeping
     # every existing invocation byte-identical).
     params.update(_traffic_spec(spec).params())
@@ -229,10 +231,11 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec) -> int:
                          "--failure-rate, --failure-seed) have no effect on "
                          "the DRAM baseline (it has no memory network); pick "
                          "an HMC-backed configuration")
-    with _network_usage_errors():
-        config = make_system_config(args.config, execution=spec.execution,
-                                    shards=spec.shards, **overrides)
-    result = run_workload(config, args.workload, num_threads=args.threads, **params)
+    with _usage_errors():
+        config = make_system_config(args.config, **overrides)
+        program = prepare_program(config, args.workload, num_threads=args.threads,
+                                  **params)
+    result = run_program(config, program)
     rows = [
         ["cycles", f"{result.cycles:,.0f}"],
         ["instructions", f"{result.instructions:,d}"],
@@ -325,7 +328,7 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec) -> int:
     detail = {name: value for name, value in spec.explicit("network").items()
               if name not in ("topology", "num_cubes", "num_controllers",
                               "link_bandwidth")}
-    with _network_usage_errors():
+    with _usage_errors():
         # Planning-time shape validation only; simulation/rendering errors
         # below keep their tracebacks.
         fig_topology.sweep_networks(args.topologies, args.cube_counts,
@@ -357,11 +360,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     # One ExperimentSpec carries every axis from here on.  The env-propagated
-    # axes (--scheduler/--execution/--shards/--summary) route through their
-    # environment variables for the duration of the command so prefetch
-    # worker processes inherit them too (the run subcommand additionally
-    # folds the execution choice into its config, making it visible in the
-    # printed label).
+    # axes (--scheduler/--summary) route through their environment variables
+    # for the duration of the command so prefetch worker processes inherit
+    # them too.
     spec = ExperimentSpec.from_args(args)
     with spec.env_context():
         if args.command == "run":

@@ -129,6 +129,20 @@ def test_cli_run_rejects_impossible_network(capsys):
               "--num-cubes", "18"])
 
 
+def test_cli_run_rejects_more_threads_than_cores():
+    # Checked before the run: a clean usage error, not a ValueError traceback.
+    with pytest.raises(SystemExit, match="^repro: workload uses 64 threads "
+                                         "but the configuration has only 4 cores"):
+        main(["run", "--config", "ARF-tid", "--workload", "mac",
+              "--threads", "64"])
+
+
+def test_cli_run_rejects_unknown_param():
+    with pytest.raises(SystemExit, match=r"^repro: unknown parameter\(s\) 'bogus'"):
+        main(["run", "--config", "ARF-tid", "--workload", "mac",
+              "--param", "bogus=1"])
+
+
 def test_cli_sweep_parser_defaults():
     parser = build_parser()
     args = parser.parse_args(["sweep", "--scale", "tiny"])

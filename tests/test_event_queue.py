@@ -5,6 +5,8 @@ queue: the two backends promise the exact same ``[time, seq]`` total order,
 so they must be observationally interchangeable.
 """
 
+import bisect
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -206,6 +208,68 @@ def test_calendar_queue_matches_heap_exactly(ops):
         if a is None:
             break
         assert a[:2] == b[:2]
+
+
+class _SortedListModel:
+    """Reference model: every live event in one list kept sorted by
+    ``(time, seq)``; cancelling removes the entry outright."""
+
+    def __init__(self):
+        self.entries = []
+        self.seq = 0
+
+    def push(self, time):
+        key = (time, self.seq)
+        self.seq += 1
+        bisect.insort(self.entries, key)
+        return key
+
+    def cancel(self, key):
+        index = bisect.bisect_left(self.entries, key)
+        if index < len(self.entries) and self.entries[index] == key:
+            del self.entries[index]
+
+    def pop(self):
+        return self.entries.pop(0) if self.entries else None
+
+    def peek_time(self):
+        return self.entries[0][0] if self.entries else None
+
+
+@given(_OPS)
+def test_event_queue_matches_sorted_list_model(ops):
+    """Any interleaving of push, push_handle, cancel, pop and peek_time pops
+    the same ``[time, seq]`` sequence, and keeps the same live count, as a
+    sorted-list model of the ordering contract."""
+    queue, model = EventQueue(), _SortedListModel()
+    handles = []
+    for op in ops:
+        if op[0] == "push":
+            _, time, with_handle = op
+            key = model.push(time)
+            if with_handle:
+                handles.append((queue.push_handle(time, lambda: None), key))
+            else:
+                queue.push(time, lambda: None)
+        elif op[0] == "pop":
+            entry, expected = queue.pop(), model.pop()
+            assert (entry is None) == (expected is None)
+            if entry is not None:
+                assert tuple(entry[:2]) == expected
+        elif op[0] == "peek":
+            assert queue.peek_time() == model.peek_time()
+        elif handles:  # cancel, possibly of an event that already fired
+            handle, key = handles.pop(op[1] % len(handles))
+            handle.cancel()
+            model.cancel(key)
+        assert len(queue) == len(model.entries)
+        assert bool(queue) == bool(model.entries)
+    while True:
+        entry, expected = queue.pop(), model.pop()
+        assert (entry is None) == (expected is None)
+        if entry is None:
+            break
+        assert tuple(entry[:2]) == expected
 
 
 def test_calendar_flood_drain_compacts_the_spine():

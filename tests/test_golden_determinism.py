@@ -37,14 +37,12 @@ TINY_PAGERANK = {"num_vertices": 96, "avg_degree": 4}
 #:
 #: Digest provenance: the cycle and event counts are the seed values and have
 #: never moved.  The HMC/ART/ARF digests were re-captured once, when the
-#: sharded execution backend landed shard-stable accounting: the network's
-#: queue-delay total became a fold over per-link cells in link order and the
-#: ``ar.update_latency.*`` histograms became per-engine folds in cube order.
-#: Both re-order float additions (same addends, different association), which
-#: shifts non-dyadic sums by ulps — the cost of making these aggregates
-#: independent of event interleaving, which is what lets a sharded run
-#: reproduce the serial digest bit for bit.  DRAM has neither accumulator and
-#: kept its original seed digest.
+#: network's queue-delay total became a fold over per-link cells in link order
+#: and the ``ar.update_latency.*`` histograms became per-engine folds in cube
+#: order.  Both re-order float additions (same addends, different
+#: association), which shifts non-dyadic sums by ulps — the cost of making
+#: these aggregates independent of event interleaving.  DRAM has neither
+#: accumulator and kept its original seed digest.
 GOLDEN = {
     "DRAM": (421.0, 156,
              "e6e5a5852cae822af5f448c7de569649c4ffbb46f829c93430d2df708ae2462e"),
@@ -111,7 +109,7 @@ def test_golden_cycles_events_and_stats_digest(kind, scheduler, routing,
 #: Fixed-seed degraded golden: ARF-tid pagerank/tiny with random link faults
 #: (resilient routing, rate 10 per Mcycle, seed 7).  The timeline and every
 #: interruption are deterministic, so this cell is as stable as the rest.
-#: The digest was re-captured with the shard-stable accounting folds (see
+#: The digest was re-captured with the ordered accounting folds (see
 #: GOLDEN above); cycles and events are unchanged from the seed capture —
 #: the finish-time quiesce rule reproduces the old timeline on this cell.
 DEGRADED_GOLDEN = (3554.0445920204475, 6178,
@@ -151,9 +149,7 @@ def test_golden_digest_holds_under_every_summary_backend(kind, summary,
 
 #: Open-driver golden: ARF-tid, two-tenant mac+pagerank stream at a fixed
 #: seed and rate.  Pins the open driver's entire arrival timeline and stats
-#: so an accidental RNG or event-order change cannot slip through; the
-#: sharded-execution bit-identity of the same stream is held by
-#: test_drivers.test_open_run_serial_vs_sharded_bit_identical.
+#: so an accidental RNG or event-order change cannot slip through.
 OPEN_DRIVER_PARAMS = dict(driver="open", arrival_rate=20.0,
                           tenant_mix="mac,pagerank", stream_requests=64,
                           stream_keys=256)

@@ -18,7 +18,6 @@ Usage::
     PYTHONPATH=src python tools/bench.py --scheduler both      # heap/calendar A/B
     PYTHONPATH=src python tools/bench.py --cubes 64 --scheduler both  # sweep scale
     PYTHONPATH=src python tools/bench.py --routing both        # static/resilient A/B
-    PYTHONPATH=src python tools/bench.py --execution both --shards 4 --cubes 256
 
 The basket sizes match the profiled PageRank/`ARF-tid` case the kernel fast
 path was tuned on; ``--smoke`` shrinks every run to seconds-scale sizes for CI.
@@ -29,12 +28,7 @@ backend with ``@heap``/``@calendar``-suffixed run keys plus a printed ratio.
 an interleaved static/resilient A/B with ``@static``/``@resilient`` run keys
 that asserts the two policies agree bit-for-bit on the failure-free basket
 (the lockstep contract) and prints the overhead ratio of carrying the
-fault-capable machinery.  ``--execution`` selects the execution backend
-(serial event loop or the sharded conservative-window backend, ``--shards``
-workers); ``--execution both`` is an interleaved serial/sharded A/B with
-``@serial``/``@sharded`` run keys that asserts the two backends agree
-bit-for-bit on the full result fingerprint (cycles, events, counters,
-network totals) and prints the sharded speedup.  ``--cubes N`` rebuilds every HMC-backed
+fault-capable machinery.  ``--cubes N`` rebuilds every HMC-backed
 configuration with an N-cube memory network (``+cN`` key suffix) — the
 64-cube sweep scale exercises the scheduler at much larger pending-event
 counts.  ``--prefetch SCALE`` benchmarks the evaluation-suite orchestration
@@ -61,9 +55,6 @@ from repro.network.routing import (ROUTING_BACKENDS, resolve_routing,  # noqa: E
 from repro.sim.event_queue import (SCHEDULER_BACKENDS, resolve_scheduler,  # noqa: E402
                                    scheduler_env)
 from repro.system import make_system_config, run_workload  # noqa: E402
-from repro.system.execution import (DEFAULT_SHARDS, EXECUTION_BACKENDS,  # noqa: E402
-                                    execution_env, resolve_execution,
-                                    shards_env)
 
 #: The fixed measurement basket: (workload, configuration, params).
 BASKET = [
@@ -86,23 +77,14 @@ def profile_entry(key, system_config, workload, num_threads, params, top: int = 
 
     Runs *outside* the timed repeats so ``wall_s`` never carries profiler
     overhead.  Prints the top-``top`` functions by cumulative time and returns
-    the allocation columns recorded into the run entry:
-
-    * ``alloc_count`` — packet constructions (``pool_stats()`` ``fresh`` sum);
-      with the arena enabled this converges on the free-list high-water mark,
-      with ``REPRO_PACKET_POOL=0`` it counts every packet, so the on/off ratio
-      is the arena's allocation saving and the CI gate can watch it drift.
-    * ``alloc_peak_kib`` / ``alloc_live_kib`` — tracemalloc peak and
-      end-of-run traced memory.
+    the allocation columns recorded into the run entry: ``alloc_peak_kib`` /
+    ``alloc_live_kib``, the tracemalloc peak and end-of-run traced memory.
     """
     import cProfile
     import io
     import pstats
     import tracemalloc
 
-    from repro.network.packet import pool_enabled, pool_stats, reset_pools
-
-    reset_pools()
     tracemalloc.start()
     profiler = cProfile.Profile()
     profiler.enable()
@@ -110,56 +92,30 @@ def profile_entry(key, system_config, workload, num_threads, params, top: int = 
     profiler.disable()
     live_b, peak_b = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    per_class = pool_stats()
-    fresh = sum(s["fresh"] for s in per_class.values())
-    reused = sum(s["reused"] for s in per_class.values())
     table = io.StringIO()
     pstats.Stats(profiler, stream=table).sort_stats("cumulative").print_stats(top)
     print(f"\n--- profile {key} (top {top} by cumulative time) ---")
     print(table.getvalue().rstrip())
     columns = {
-        "alloc_count": fresh,
-        "alloc_reused": reused,
         "alloc_peak_kib": round(peak_b / 1024, 1),
         "alloc_live_kib": round(live_b / 1024, 1),
-        "packet_pool": pool_enabled(),
     }
-    print(f"--- alloc {key}: {fresh} packet constructions, {reused} reuses, "
-          f"peak {columns['alloc_peak_kib']:,.0f} KiB "
-          f"(pool {'on' if columns['packet_pool'] else 'off'}) ---\n")
+    print(f"--- alloc {key}: peak {columns['alloc_peak_kib']:,.0f} KiB ---\n")
     return columns
-
-
-def result_fingerprint(result):
-    """Deterministic identity of one run: every scalar the figures consume.
-
-    Serial and sharded execution must agree on *all* of this — not just event
-    count and final cycle, but counters, histogram means, and network fabric
-    totals — so the A/B assertion hashes the full flat summary.  Floats are
-    compared by ``repr`` (bit-exact), which is the contract: the sharded
-    backend merges per-shard statistics in fixed shard order precisely so no
-    float ever takes a different addition order than the serial run.
-    """
-    summary = result.summary()
-    summary.update({f"net.{k}": v for k, v in result.network_stats.items()})
-    parts = [f"events={result.events_executed}"]
-    parts += [f"{key}={summary[key]!r}" for key in sorted(summary)]
-    return "|".join(parts)
 
 
 def run_basket(basket, num_threads: int = 4, repeat: int = 3,
                scheduler=None, num_cubes=None, profile: bool = False,
-               routing=None, execution=None, shards=None):
+               routing=None):
     """Run every basket entry ``repeat`` times; keep the best wall time.
 
     ``scheduler`` picks the event-scheduler backend for every run (``None``
     keeps the ambient ``$REPRO_SCHEDULER``/default) and ``routing`` the
-    routing policy the same way; ``execution`` the execution backend
-    (``shards`` workers when sharded); ``num_cubes`` rebuilds each HMC-backed
-    configuration with that many memory cubes and suffixes the run keys with
-    ``+cN`` so entries at different network scales never alias in the
-    trajectory file.  ``profile`` adds one instrumented run per entry
-    (cProfile table + tracemalloc/packet-arena allocation columns).
+    routing policy the same way; ``num_cubes`` rebuilds each
+    HMC-backed configuration with that many memory cubes and suffixes the run
+    keys with ``+cN`` so entries at different network scales never alias in
+    the trajectory file.  ``profile`` adds one instrumented run per entry
+    (cProfile table + tracemalloc allocation columns).
     """
     runs = {}
     suffix = f"+c{num_cubes}" if num_cubes else ""
@@ -174,9 +130,7 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
             for _ in range(max(1, repeat)):
                 start = time.perf_counter()
                 result = run_workload(system_config, workload,
-                                      num_threads=num_threads,
-                                      execution=execution, shards=shards,
-                                      **params)
+                                      num_threads=num_threads, **params)
                 best = min(best, time.perf_counter() - start)
         runs[key] = {
             "wall_s": round(best, 3),
@@ -186,17 +140,13 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
             "params": params,
             "scheduler": resolve_scheduler(scheduler),
             "routing": resolve_routing(routing),
-            "execution": resolve_execution(execution),
         }
-        if runs[key]["execution"] == "sharded":
-            runs[key]["shards"] = shards or DEFAULT_SHARDS
         if num_cubes:
             runs[key]["num_cubes"] = num_cubes
         print(f"{key:24s} {best:7.3f}s  {runs[key]['events_per_s']:>11,.0f} ev/s  "
               f"cycles={result.cycles:,.0f}")
         if profile:
-            with scheduler_env(scheduler), routing_env(routing), \
-                    execution_env(execution), shards_env(shards):
+            with scheduler_env(scheduler), routing_env(routing):
                 runs[key].update(profile_entry(key, system_config, workload,
                                                num_threads, params))
     return runs
@@ -320,86 +270,6 @@ def run_routing_ab(basket, num_threads: int = 4, repeat: int = 3,
     return runs
 
 
-def run_execution_ab(basket, num_threads: int = 4, repeat: int = 3,
-                     num_cubes=None, scheduler=None, routing=None,
-                     shards=None, profile: bool = False):
-    """Run the basket under the serial and sharded backends, interleaved.
-
-    The repeats are interleaved per basket entry (after one untimed serial
-    warm-up run) exactly like :func:`run_scheduler_ab`, so process warm-up
-    lands on no particular backend.  Run keys get an ``@serial`` /
-    ``@sharded`` suffix; the two backends must agree on the *full* result
-    fingerprint — cycles, executed events, every counter and histogram mean
-    in the flat summary, and the network fabric totals — because the sharded
-    backend's whole contract is bit-identity, not statistical equivalence.
-    The printed ratio is the sharded speedup (>1.00 = sharded wins).
-
-    ``profile`` instruments the serial side only: cProfile and tracemalloc
-    observe the calling process, and under the sharded backend that process
-    is the host shard plus coordinator — the cube work lives in worker
-    processes the profiler never sees — so serial is the side whose columns
-    mean what they say.
-    """
-    executions = ("serial", "sharded")
-    shard_count = shards or DEFAULT_SHARDS
-    runs = {}
-    suffix = f"+c{num_cubes}" if num_cubes else ""
-    for workload, config, params in basket:
-        base_key = f"{workload}/{config}{suffix}"
-        system_config = config
-        if num_cubes and config != "DRAM":
-            system_config = make_system_config(config, num_cubes=num_cubes)
-        best = {execution: float("inf") for execution in executions}
-        result = {}
-        with scheduler_env(scheduler), routing_env(routing):
-            run_workload(system_config, workload, num_threads=num_threads,
-                         execution="serial", **params)  # warm-up, untimed
-            for _ in range(max(1, repeat)):
-                for execution in executions:
-                    start = time.perf_counter()
-                    result[execution] = run_workload(
-                        system_config, workload, num_threads=num_threads,
-                        execution=execution, shards=shard_count, **params)
-                    best[execution] = min(best[execution],
-                                          time.perf_counter() - start)
-        fingerprints = {execution: result_fingerprint(result[execution])
-                        for execution in executions}
-        if len(set(fingerprints.values())) != 1:
-            diverged = [pair for pair
-                        in zip(fingerprints["serial"].split("|"),
-                               fingerprints["sharded"].split("|"))
-                        if pair[0] != pair[1]]
-            raise SystemExit(
-                f"execution backends diverged on {base_key}: "
-                f"{diverged[:8]} (serial/sharded must be bit-identical)")
-        for execution in executions:
-            wall = best[execution]
-            runs[f"{base_key}@{execution}"] = {
-                "wall_s": round(wall, 3),
-                "events": result[execution].events_executed,
-                "events_per_s": round(
-                    result[execution].events_executed / wall, 1),
-                "cycles": result[execution].cycles,
-                "params": params,
-                "scheduler": resolve_scheduler(scheduler),
-                "routing": resolve_routing(routing),
-                "execution": execution,
-                **({"shards": shard_count} if execution == "sharded" else {}),
-                **({"num_cubes": num_cubes} if num_cubes else {}),
-            }
-        ratio = (best["serial"] / best["sharded"]
-                 if best["sharded"] else float("inf"))
-        print(f"{base_key:24s} serial {best['serial']:7.3f}s  sharded(x"
-              f"{shard_count}) {best['sharded']:7.3f}s  "
-              f"({ratio:.2f}x; >1.00 = sharded wins)")
-        if profile:
-            with scheduler_env(scheduler), routing_env(routing):
-                runs[f"{base_key}@serial"].update(profile_entry(
-                    f"{base_key}@serial", system_config, workload,
-                    num_threads, params))
-    return runs
-
-
 def run_prefetch(scale: str, workers: int):
     """Cold-then-warm suite prefetch into a throwaway cache directory."""
     import tempfile
@@ -456,19 +326,6 @@ def check_regression(output: Path, runs, baseline_label: str, max_ratio: float) 
               f"{base['wall_s']:7.3f}s  ({ratio:.2f}x)  {verdict}")
         if ratio > max_ratio:
             failures.append(key)
-        # Allocation gate: when both sides carry the --profile columns under
-        # the same pool mode, a packet-construction count blow-up means the
-        # arena stopped recycling (e.g. a new call site bypassing acquire());
-        # unlike wall time this metric is deterministic, so the same threshold
-        # has no noise margin to eat.
-        if (run.get("alloc_count") and base.get("alloc_count")
-                and run.get("packet_pool") == base.get("packet_pool")):
-            alloc_ratio = run["alloc_count"] / base["alloc_count"]
-            verdict = "ok" if alloc_ratio <= max_ratio else "REGRESSION"
-            print(f"check {key:24s} {run['alloc_count']:7d} allocs vs baseline "
-                  f"{base['alloc_count']:7d}  ({alloc_ratio:.2f}x)  {verdict}")
-            if alloc_ratio > max_ratio:
-                failures.append(f"{key}[alloc]")
     if not compared:
         raise SystemExit(
             f"baseline entry {baseline_label!r} shares no run keys with this basket")
@@ -494,10 +351,6 @@ def append_history(output: Path, label: str, runs, num_threads: int) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        # Sharded-execution entries are only meaningful relative to the
-        # core count they ran on: on a single-CPU host the worker processes
-        # time-slice one core and the A/B ratio measures pure coordination
-        # overhead, not parallel speedup.
         "cpus": os.cpu_count(),
         "num_threads": num_threads,
         "runs": runs,
@@ -529,17 +382,6 @@ def main(argv=None) -> int:
                              "@static/@resilient run keys and asserts the two "
                              "agree bit-for-bit (default: $REPRO_ROUTING or "
                              "static)")
-    parser.add_argument("--execution", default=None,
-                        choices=sorted(EXECUTION_BACKENDS) + ["both"],
-                        help="execution backend for the basket; 'both' runs an "
-                             "interleaved serial/sharded A/B with "
-                             "@serial/@sharded run keys and asserts the full "
-                             "result fingerprints agree bit-for-bit (default: "
-                             "$REPRO_EXECUTION or serial)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="cube-shard worker count for the sharded "
-                             "execution backend (default: $REPRO_SHARDS or "
-                             f"{DEFAULT_SHARDS})")
     parser.add_argument("--cubes", type=int, default=None, metavar="N",
                         help="memory-network cube count for every HMC-backed "
                              "basket configuration (+cN run-key suffix); e.g. "
@@ -547,8 +389,8 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="add one instrumented run per basket entry: a "
                              "cProfile top-20 cumulative table plus tracemalloc "
-                             "peak and packet-allocation-count columns recorded "
-                             "into the history entry")
+                             "peak and live columns recorded into the history "
+                             "entry")
     parser.add_argument("--no-write", action="store_true",
                         help="print results without touching the trajectory file")
     parser.add_argument("--prefetch", metavar="SCALE", default=None,
@@ -578,28 +420,14 @@ def main(argv=None) -> int:
         if args.routing == "both":
             parser.error("--routing both is an A/B mode for the kernel "
                          "basket; pick one policy for --prefetch")
-        if args.execution == "both":
-            parser.error("--execution both is an A/B mode for the kernel "
-                         "basket; pick one backend for --prefetch")
-        with scheduler_env(args.scheduler), routing_env(args.routing), \
-                execution_env(args.execution), shards_env(args.shards):
+        with scheduler_env(args.scheduler), routing_env(args.routing):
             runs = run_prefetch(args.prefetch, workers=args.workers)
     else:
         basket = SMOKE_BASKET if args.smoke else BASKET
-        ab_axes = [flag for flag, value in
-                   (("--scheduler", args.scheduler),
-                    ("--routing", args.routing),
-                    ("--execution", args.execution)) if value == "both"]
-        if len(ab_axes) > 1:
-            parser.error(f"pick one A/B axis: {' or '.join(ab_axes)}, "
-                         "not several at once")
-        if args.execution == "both":
-            runs = run_execution_ab(basket, num_threads=args.threads,
-                                    repeat=args.repeat, num_cubes=args.cubes,
-                                    scheduler=args.scheduler,
-                                    routing=args.routing, shards=args.shards,
-                                    profile=args.profile)
-        elif args.routing == "both":
+        if args.scheduler == "both" and args.routing == "both":
+            parser.error("pick one A/B axis: --scheduler or --routing, "
+                         "not both at once")
+        if args.routing == "both":
             if args.profile:
                 parser.error("--profile composes with a single routing "
                              "policy, not the 'both' A/B mode")
@@ -617,8 +445,7 @@ def main(argv=None) -> int:
             runs = run_basket(basket, num_threads=args.threads,
                               repeat=args.repeat, scheduler=args.scheduler,
                               num_cubes=args.cubes, profile=args.profile,
-                              routing=args.routing, execution=args.execution,
-                              shards=args.shards)
+                              routing=args.routing)
     if args.check_against:
         check_regression(args.output, runs, args.check_against, args.max_regression)
     if not args.no_write:
