@@ -15,8 +15,8 @@ cross product and renders the network-shape figure.  ``--workers 0`` means one
 worker per CPU core.
 
 Every experiment-axis flag the four subcommands share — network shape,
-routing + fault injection, link bandwidth, traffic driver, quantile summary,
-event scheduler — is *generated* from the declarative registry in
+routing + fault injection, link bandwidth, traffic driver, quantile summary
+— is *generated* from the declarative registry in
 :mod:`repro.core.spec` (``add_axis_flags``), which is also where each axis's
 ``$REPRO_*`` environment knob, default and label-folding rule are declared;
 run ``python -m repro.core.spec --table`` for the full table.
@@ -360,9 +360,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     # One ExperimentSpec carries every axis from here on.  The env-propagated
-    # axes (--scheduler/--summary) route through their environment variables
-    # for the duration of the command so prefetch worker processes inherit
-    # them too.
+    # axis (--summary) routes through its environment variable for the
+    # duration of the command so prefetch worker processes inherit it too.
     spec = ExperimentSpec.from_args(args)
     with spec.env_context():
         if args.command == "run":

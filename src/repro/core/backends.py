@@ -1,11 +1,9 @@
 """Generic registry for the library's small pluggable backends.
 
-Four subsystems follow the same pattern — a name -> class table, a default,
+Three subsystems follow the same pattern — a name -> class table, a default,
 an environment-variable override, and ``resolve_*``/``make_*``/``*_env``
 helpers with identical resolution order and error wording:
 
-* schedulers (:mod:`repro.sim.event_queue`, ``$REPRO_SCHEDULER``:
-  ``heap``, ``calendar``),
 * routing policies (:mod:`repro.network.routing`, ``$REPRO_ROUTING``:
   ``static``, ``resilient``, ``adaptive``),
 * latency-summary backends (:mod:`repro.sim.stats`, ``$REPRO_SUMMARY``:
@@ -13,8 +11,8 @@ helpers with identical resolution order and error wording:
 * traffic drivers (:mod:`repro.workloads.drivers`, ``$REPRO_DRIVER``:
   ``closed``, ``open``).
 
-Each keeps its public module-level API (``SCHEDULER_BACKENDS``,
-``resolve_scheduler`` and friends are stable interfaces) but delegates the
+Each keeps its public module-level API (``ROUTING_BACKENDS``,
+``resolve_routing`` and friends are stable interfaces) but delegates the
 shared machinery to one :class:`BackendRegistry` instance.
 
 This module must import nothing from ``repro``: the simulation kernel pulls
@@ -34,7 +32,7 @@ class BackendRegistry:
     """A named family of interchangeable backend classes.
 
     ``kind`` is the human-readable family name used in error messages
-    ("scheduler", "routing policy", ...); ``backends`` maps canonical
+    ("routing policy", "summary backend", ...); ``backends`` maps canonical
     lower-case names to classes; ``env_var`` is consulted when no explicit
     name is given.
     """

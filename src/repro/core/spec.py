@@ -2,7 +2,7 @@
 
 Every experiment dimension the reproduction has grown — network shape,
 routing + fault process, link bandwidth, traffic driver, quantile-summary
-backend, event scheduler — is declared exactly once here as an
+backend — is declared exactly once here as an
 :class:`Axis`: its CLI flag, ``$REPRO_*`` environment knob, default,
 label-folding rule (with default-elision) and cache-key participation all
 live in the one declaration, gem5-config-style.  The CLI generates its shared
@@ -76,20 +76,10 @@ def _summary_choices() -> Sequence[str]:
     return sorted(SUMMARY_BACKENDS)
 
 
-def _scheduler_choices() -> Sequence[str]:
-    from ..sim.event_queue import SCHEDULER_BACKENDS
-    return sorted(SCHEDULER_BACKENDS)
-
-
 # ---------------------------------------------------------------- env export
 # The knobs the CLI exports to worker processes delegate to the exact env
 # context managers they always used, so export semantics (canonicalization,
 # restore-on-exit) cannot drift.
-
-def _scheduler_env(value):
-    from ..sim.event_queue import scheduler_env
-    return scheduler_env(value)
-
 
 def _summary_env(value):
     from ..sim import summary_env
@@ -143,7 +133,7 @@ class Axis:
     flag: str
     #: Which label/config family the axis belongs to: ``network`` axes fold
     #: into the HMCNetworkConfig fingerprint, ``traffic`` into the params
-    #: dict, and ``summary``/``scheduler`` are process-wide backend choices.
+    #: dict, and ``summary`` is a process-wide backend choice.
     group: str
     help: str
     #: ``$REPRO_*`` knob consulted between explicit value and default.
@@ -213,7 +203,7 @@ def _at_least_one(value) -> Optional[str]:
 
 #: The axis registry, in label-fold order within each group.  This order is
 #: also the generated CLI flag order: network shape, routing + faults, link
-#: bandwidth, traffic, summary, scheduler.
+#: bandwidth, traffic, summary.
 AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="topology", type=str, default="dragonfly", flag="--topology",
          group="network", choices=_topology_choices,
@@ -317,14 +307,6 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
               "sample, 'sketch' a mergeable log-bucketed sketch; means and "
               "counts — and thus golden digests — are identical across "
               "backends"),
-    Axis(name="scheduler", type=str, default="heap", flag="--scheduler",
-         group="scheduler", env="REPRO_SCHEDULER", choices=_scheduler_choices,
-         label_form="(never in labels)",
-         cache="none: results are bit-identical across schedulers",
-         env_context=_scheduler_env,
-         help="event-scheduler backend for every simulation (default: "
-              "$REPRO_SCHEDULER or heap); results are bit-identical across "
-              "backends, only wall time differs"),
 )}
 
 
@@ -370,7 +352,6 @@ class ExperimentSpec:
     stream_requests: Optional[int] = None
     stream_keys: Optional[int] = None
     summary: Optional[str] = None
-    scheduler: Optional[str] = None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ExperimentSpec":
@@ -430,8 +411,7 @@ class ExperimentSpec:
 
         Today: the summary backend, only when non-default (non-default
         summaries change percentile fields; eliding the default keeps every
-        pre-existing key byte-identical).  The scheduler axis deliberately
-        contributes nothing — its results are bit-identical.
+        pre-existing key byte-identical).
         """
         from ..sim import DEFAULT_SUMMARY
         summary = self.resolved("summary")
@@ -444,7 +424,7 @@ class ExperimentSpec:
     def env_context(self) -> Iterator[None]:
         """Export the env-propagated axes through their ``$REPRO_*`` knobs.
 
-        Exactly the scheduler/summary exports the CLI has always performed
+        Exactly the summary export the CLI has always performed
         (worker processes inherit the environment); unset axes leave the
         environment untouched, and previous values are restored on exit.
         Network and traffic axes are *not* exported: they

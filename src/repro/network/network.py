@@ -69,9 +69,7 @@ class MemoryNetwork(Component):
             if self._is_controller_node[link.src] or self._is_controller_node[link.dst]]
         # _hop() runs once per network hop: pre-bind every counter it touches
         # and keep a direct reference to the dense next-hop matrix.  The
-        # delivery push mirrors the simulator's scheduler fast path: against
-        # the heap backend it pushes straight onto the aliased heap list,
-        # against any other backend it goes through the scheduler's push().
+        # delivery push goes straight onto the simulator's aliased heap list.
         self._event_heap = sim._heap
         self._next_rows = self.routing.next_hop_table
         self._h_injected = self.counter_handle("injected")
@@ -218,18 +216,12 @@ class MemoryNetwork(Component):
             callback = lambda: endpoint.receive_packet(packet, current)  # noqa: E731
         # Inlined EventQueue.push (delivery times are never negative): one hop
         # schedules exactly one delivery and the wrapper call is measurable.
-        # Non-heap scheduler backends take their own push() instead.
-        heap = self._event_heap
-        if heap is not None:
-            events = self.sim.events
-            heapq.heappush(heap,
-                           [finish + link._latency + self.router_delay, events._seq,
-                            callback])
-            events._seq += 1
-            events._live += 1
-        else:
-            self.sim.events.push(finish + link._latency + self.router_delay,
-                                 callback)
+        events = self.sim.events
+        heapq.heappush(self._event_heap,
+                       [finish + link._latency + self.router_delay, events._seq,
+                        callback])
+        events._seq += 1
+        events._live += 1
 
     # -- fault handling -------------------------------------------------------
     def set_link_state(self, a: int, b: int, up: bool) -> None:
@@ -372,14 +364,10 @@ class MemoryNetwork(Component):
         packet.hops += 1
         callback = lambda: self._arrive_flex(packet, link, current, nxt)  # noqa: E731
         arrival = finish + link._latency + self.router_delay
-        heap = self._event_heap
-        if heap is not None:
-            events = self.sim.events
-            heapq.heappush(heap, [arrival, events._seq, callback])
-            events._seq += 1
-            events._live += 1
-        else:
-            self.sim.events.push(arrival, callback)
+        events = self.sim.events
+        heapq.heappush(self._event_heap, [arrival, events._seq, callback])
+        events._seq += 1
+        events._live += 1
 
     def _arrive_flex(self, packet: Packet, link: Link, current: int,
                      nxt: int) -> None:

@@ -7,8 +7,8 @@ split-point computation relies on this determinism: the split point of two
 operands is the last cube shared by the two deterministic paths from the tree
 root toward each operand.
 
-Routing is *pluggable* the same way the event scheduler is (see
-:mod:`repro.sim.event_queue`): every policy implements the same small
+Routing is *pluggable* the same way the latency summary is (see
+:mod:`repro.core.backends`): every policy implements the same small
 interface — ``next_hop`` / ``distance`` / ``path`` / ``split_point`` /
 ``nearest`` / ``on_link_state_change`` — and registers in
 :data:`ROUTING_BACKENDS`; :func:`resolve_routing` picks one by explicit name,
@@ -444,7 +444,7 @@ def resolve_routing(name: Optional[str] = None) -> str:
     network; ``adaptive`` legitimately changes results, so cache-aware entry
     points (the CLI, the evaluation suite) select policies through the network
     config — whose label keys every cache entry — and treat the environment
-    variable as a kernel-testing knob, exactly like ``$REPRO_SCHEDULER``.
+    variable as a kernel-testing knob.
     """
     return ROUTING_REGISTRY.resolve(name)
 
@@ -457,7 +457,7 @@ def make_routing(topology: Topology, name: Optional[str] = None) -> RoutingTable
 def routing_env(name: Optional[str]):
     """Temporarily export a routing choice through ``$REPRO_ROUTING``.
 
-    Mirrors :func:`repro.sim.event_queue.scheduler_env`: worker processes
+    Mirrors :func:`repro.sim.stats.summary_env`: worker processes
     inherit the environment, so one export covers serial and parallel paths;
     the previous value is restored on exit.  ``None`` leaves the environment
     untouched.

@@ -1,9 +1,7 @@
-"""Discrete-event simulation kernel: event schedulers, simulator, components, stats."""
+"""Discrete-event simulation kernel: event queue, simulator, components, stats."""
 
 from .component import Component, SharedResource
-from .event_queue import (DEFAULT_SCHEDULER, SCHEDULER_BACKENDS, CalendarQueue,
-                          EventHandle, EventQueue, make_event_queue,
-                          resolve_scheduler)
+from .event_queue import EventHandle, EventQueue
 from .simulator import SimulationError, Simulator
 from .stats import (DEFAULT_SUMMARY, SUMMARY_BACKENDS, CounterHandle,
                     Histogram, QuantileSketch, StatsRegistry, geometric_mean,
@@ -12,13 +10,10 @@ from .stats import (DEFAULT_SUMMARY, SUMMARY_BACKENDS, CounterHandle,
 __all__ = [
     "Component",
     "SharedResource",
-    "CalendarQueue",
     "CounterHandle",
-    "DEFAULT_SCHEDULER",
     "DEFAULT_SUMMARY",
     "EventHandle",
     "EventQueue",
-    "SCHEDULER_BACKENDS",
     "SUMMARY_BACKENDS",
     "SimulationError",
     "Simulator",
@@ -26,9 +21,7 @@ __all__ = [
     "QuantileSketch",
     "StatsRegistry",
     "geometric_mean",
-    "make_event_queue",
     "make_summary",
-    "resolve_scheduler",
     "resolve_summary",
     "summary_env",
 ]

@@ -6,17 +6,18 @@ the golden values below — final cycle count, executed event count and a SHA-25
 digest over the full stats snapshot — were captured from the pre-optimization
 seed code and every scheme must keep reproducing them bit-for-bit.
 
-The same bar applies across scheduler backends: the calendar queue promises
-the binary heap's exact ``[time, seq]`` dispatch order, so the golden digests
-must hold under either backend — and across failure-free routing policies:
-``resilient`` builds byte-identical tables and only diverges live columns on
-the first state change, so with no failures injected it must reproduce the
-``static`` goldens bit-for-bit (the scheme x scheduler x routing matrix).
+The same bar applies across failure-free routing policies: ``resilient``
+builds byte-identical tables and only diverges live columns on the first
+state change, so with no failures injected it must reproduce the ``static``
+goldens bit-for-bit (the scheme x routing matrix).
 
 Fault injection is deterministic too: the failure timeline is a pure function
 of ``(topology, failure_rate, failure_seed)`` and every interruption resolves
 on the ``[time, seq]`` queue, so a fixed-seed degraded run has its own golden
-cell, held across scheduler backends like every other result.
+cell.
+
+The cell IDs keep a ``heap`` fragment (``ARF-tid-heap-static``, ``[heap]``)
+so they stay stable for tools that track tests by name.
 """
 
 import hashlib
@@ -24,7 +25,6 @@ import hashlib
 import pytest
 
 from repro.sim import SUMMARY_BACKENDS
-from repro.sim.event_queue import SCHEDULER_BACKENDS
 from repro.system import CONFIG_ORDER, run_suite
 from repro.system.builder import build_system
 from repro.system.config import make_system_config
@@ -66,14 +66,10 @@ def snapshot_digest(stats) -> str:
     return hasher.hexdigest()
 
 
-def run_tiny_pagerank(kind, scheduler=None, monkeypatch=None, routing=None,
-                      net=None):
+def run_tiny_pagerank(kind, monkeypatch=None, routing=None, net=None):
     # ``routing`` exports the kernel-testing env knob ($REPRO_ROUTING), the
     # path CI's resilient job exercises; ``net`` passes explicit network
     # overrides through the config, the path the CLI and the suite use.
-    if scheduler is not None:
-        assert monkeypatch is not None
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
     if routing is not None:
         assert monkeypatch is not None
         monkeypatch.setenv("REPRO_ROUTING", routing)
@@ -91,15 +87,12 @@ def run_tiny_pagerank(kind, scheduler=None, monkeypatch=None, routing=None,
 
 
 @pytest.mark.parametrize("routing", ["static", "resilient"])
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULER_BACKENDS))
-@pytest.mark.parametrize("kind", CONFIG_ORDER, ids=[k.value for k in CONFIG_ORDER])
-def test_golden_cycles_events_and_stats_digest(kind, scheduler, routing,
-                                               monkeypatch):
+@pytest.mark.parametrize("kind", CONFIG_ORDER,
+                         ids=[f"{k.value}-heap" for k in CONFIG_ORDER])
+def test_golden_cycles_events_and_stats_digest(kind, routing, monkeypatch):
     # The resilient policy is bit-identical to static on a failure-free
     # network (the lockstep contract), so ONE golden row serves both columns.
-    system = run_tiny_pagerank(kind, scheduler=scheduler, monkeypatch=monkeypatch,
-                               routing=routing)
-    assert system.sim.scheduler == scheduler
+    system = run_tiny_pagerank(kind, monkeypatch=monkeypatch, routing=routing)
     cycles, events, digest = GOLDEN[kind.value]
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
@@ -116,12 +109,10 @@ DEGRADED_GOLDEN = (3554.0445920204475, 6178,
                    "a4d56536adffa669883601f6722e43d8a3e4083acdd5717b11ad3d3d1b64c4c9")
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULER_BACKENDS))
-def test_degraded_golden_fixed_failure_seed(scheduler, monkeypatch):
-    system = run_tiny_pagerank("ARF-tid", scheduler=scheduler,
-                               monkeypatch=monkeypatch,
-                               net=dict(routing="resilient",
-                                        failure_rate=10.0, failure_seed=7))
+@pytest.mark.parametrize("net", [dict(routing="resilient", failure_rate=10.0,
+                                      failure_seed=7)], ids=["heap"])
+def test_degraded_golden_fixed_failure_seed(net):
+    system = run_tiny_pagerank("ARF-tid", net=net)
     cycles, events, digest = DEGRADED_GOLDEN
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
@@ -155,21 +146,12 @@ OPEN_DRIVER_PARAMS = dict(driver="open", arrival_rate=20.0,
                           stream_keys=256)
 
 
-def test_open_driver_runs_repeat_bit_identically_across_backends(monkeypatch):
+def test_open_driver_runs_repeat_bit_identically_across_backends():
     from repro.system import run_workload
 
-    baseline = run_workload("ARF-tid", "mac", num_threads=4,
-                            **OPEN_DRIVER_PARAMS)
-    fingerprint = (baseline.cycles, baseline.instructions,
-                   baseline.events_executed,
-                   sorted(baseline.summary().items()))
-    for scheduler in sorted(SCHEDULER_BACKENDS):
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
-        again = run_workload("ARF-tid", "mac", num_threads=4,
-                             **OPEN_DRIVER_PARAMS)
-        assert (again.cycles, again.instructions, again.events_executed,
-                sorted(again.summary().items())) == fingerprint, scheduler
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    first, again = (run_workload("ARF-tid", "mac", num_threads=4,
+                                 **OPEN_DRIVER_PARAMS) for _ in range(2))
+    assert _result_fingerprint(again) == _result_fingerprint(first)
 
 
 def test_repeated_runs_are_identical():

@@ -1,20 +1,15 @@
-"""Unit tests for the simulator driver.
-
-Execution-behavior tests run against both scheduler backends: the simulator
-promises identical event dispatch regardless of which one it was built on.
-"""
+"""Unit tests for the simulator driver."""
 
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.event_queue import SCHEDULER_BACKENDS, CalendarQueue, EventQueue
-
-BACKENDS = sorted(SCHEDULER_BACKENDS)
+from repro.sim.event_queue import EventQueue
 
 
-@pytest.fixture(params=BACKENDS)
-def sim(request):
-    return Simulator(scheduler=request.param)
+#: One-element parametrization so the tests keep their ``[heap]`` IDs.
+@pytest.fixture(params=["heap"])
+def sim():
+    return Simulator()
 
 
 def test_schedule_and_run_advances_time(sim):
@@ -124,6 +119,44 @@ def test_run_until_idle_guards_against_runaway(sim):
         sim.run_until_idle(max_events=100)
 
 
+def test_run_until_idle_diagnoses_the_runaway_callback():
+    """A blown budget names the earliest pending time and the most frequent
+    live pending callbacks; cancelled entries are not counted."""
+    sim = Simulator()
+
+    def rearm():
+        sim.schedule(1, rearm)
+
+    def straggler():
+        pass
+
+    sim.schedule(1, rearm)
+    sim.schedule(1000, straggler)
+    sim.schedule(2000, straggler)
+    sim.schedule_cancellable(500, lambda: None).cancel()
+    with pytest.raises(SimulationError) as excinfo:
+        sim.run_until_idle(max_events=100)
+    message = str(excinfo.value)
+    assert "earliest pending event at cycle 101.0" in message
+    assert f"{straggler.__qualname__} x2, {rearm.__qualname__} x1" in message
+    assert "<lambda>" not in message
+
+
+def test_run_with_an_empty_budget_dispatches_nothing():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1, lambda: fired.append(sim.now))
+    assert sim.run(max_events=0) == 0
+    assert sim.run(until=10, max_events=0) == 0
+    assert fired == [] and sim.executed_events == 0
+    assert not sim.finished
+    with pytest.raises(ValueError, match="max_events"):
+        sim.run(max_events=-5)
+    assert fired == []
+    sim.run(max_events=1)
+    assert fired == [1] and sim.finished
+
+
 def test_seconds_conversion():
     sim = Simulator(cpu_freq_ghz=2.0)
     assert sim.seconds(2e9) == pytest.approx(1.0)
@@ -142,7 +175,7 @@ def test_reset_clears_state(sim):
     assert sim.now == 0
     assert len(sim.events) == 0
     assert sim.stats.counter("x") == 0
-    # The simulator is fully reusable after a reset, on either backend.
+    # The simulator is fully reusable after a reset.
     seen = []
     sim.schedule(2, lambda: seen.append(sim.now))
     sim.run_until_idle()
@@ -160,7 +193,7 @@ def test_schedule_cancellable_forwards_label(sim):
 
 def test_cancel_across_reset_is_inert(sim):
     """A handle held across Simulator.reset() must see its event as gone and
-    stay a no-op — on both backends — instead of corrupting the live count."""
+    stay a no-op instead of corrupting the live count."""
     fired = []
     handle = sim.schedule_cancellable(5, lambda: fired.append("stale"))
     sim.reset()
@@ -175,7 +208,7 @@ def test_cancel_across_reset_is_inert(sim):
 
 
 def test_cancelled_event_skipped_by_run_loop(sim):
-    """The fused run loops must skip cancelled entries without dispatching
+    """The fused run loop must skip cancelled entries without dispatching
     or counting them."""
     fired = []
     handle = sim.schedule_cancellable(5, lambda: fired.append("cancelled"))
@@ -186,96 +219,9 @@ def test_cancelled_event_skipped_by_run_loop(sim):
     assert sim.executed_events == 1
 
 
-# -- scheduler selection ---------------------------------------------------------
-
-def test_scheduler_backend_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert isinstance(Simulator().events, EventQueue)
-    assert isinstance(Simulator(scheduler="heap").events, EventQueue)
-    assert isinstance(Simulator(scheduler="calendar").events, CalendarQueue)
-    assert Simulator(scheduler="calendar").scheduler == "calendar"
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        Simulator(scheduler="splay-tree")
-
-
-def test_scheduler_env_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    assert isinstance(Simulator().events, CalendarQueue)
-    # An explicit constructor argument beats the environment.
-    assert isinstance(Simulator(scheduler="heap").events, EventQueue)
-    monkeypatch.delenv("REPRO_SCHEDULER")
-    assert isinstance(Simulator().events, EventQueue)
-
-
-def test_future_backend_runs_through_the_generic_loop(monkeypatch):
-    """A backend that is neither the heap nor the calendar queue (the
-    C-accelerated-entries slot the ROADMAP reserves) must work out of the box
-    via Simulator's generic bound-method loop — interface only, no fused
-    loop required."""
-    from bisect import insort
-
-    class SortedListQueue:
-        """Minimal third backend: the interface, nothing else."""
-
-        def __init__(self):
-            self._entries = []
-            self._seq = 0
-            self._live = 0
-
-        def __len__(self):
-            return self._live
-
-        def __bool__(self):
-            return self._live > 0
-
-        def push(self, time, callback, label=""):
-            if time < 0:
-                raise ValueError("negative time")
-            insort(self._entries, [time, self._seq, callback])
-            self._seq += 1
-            self._live += 1
-
-        def peek_time(self):
-            for entry in self._entries:
-                if entry[2] is not None:
-                    return entry[0]
-            return None
-
-        def pop(self):
-            while self._entries:
-                entry = self._entries.pop(0)
-                if entry[2] is None:
-                    continue
-                callback = entry[2]
-                entry[2] = None
-                self._live -= 1
-                return [entry[0], entry[1], callback]
-            return None
-
-        def clear(self):
-            self._entries.clear()
-            self._live = 0
-
-    monkeypatch.setitem(SCHEDULER_BACKENDS, "sorted-list", SortedListQueue)
-    sim = Simulator(scheduler="sorted-list")
-    assert sim._run_impl == sim._run_generic
-    seen = []
-    sim.schedule(10, lambda: seen.append(sim.now))
-    sim.schedule(5, lambda: (seen.append(sim.now),
-                             sim.schedule(1, lambda: seen.append(sim.now))))
-    sim.run(until=7)
-    assert seen == [5, 6]
-    assert not sim.finished
-    sim.run()
-    assert seen == [5, 6, 10]
-    assert sim.finished and sim.executed_events == 3
-
-
-@pytest.mark.parametrize("scheduler", BACKENDS)
-def test_backends_execute_identically(scheduler):
+def test_backends_execute_identically(sim):
     """One seeded mixed workload of schedules + cancellations must land on
-    the same trace and final time on every backend."""
-    sim = Simulator(scheduler=scheduler)
+    the same trace and final time when replayed on a fresh simulator."""
     trace = []
 
     def spawner(depth):
@@ -289,7 +235,7 @@ def test_backends_execute_identically(scheduler):
 
     sim.schedule(0.5, lambda: spawner(0))
     sim.run_until_idle()
-    reference_sim = Simulator(scheduler="heap")
+    reference_sim = Simulator()
     reference = []
 
     def ref_spawner(depth):
@@ -307,3 +253,12 @@ def test_backends_execute_identically(scheduler):
     assert trace == reference
     assert sim.now == reference_sim.now
     assert sim.executed_events == reference_sim.executed_events
+
+
+def test_scheduler_backend_selection():
+    """There is no scheduler to select: every simulator runs on the heap
+    queue and the constructor takes no scheduler argument."""
+    assert type(Simulator().events) is EventQueue
+    assert not hasattr(Simulator(), "scheduler")
+    with pytest.raises(TypeError):
+        Simulator(scheduler="calendar")

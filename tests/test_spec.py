@@ -8,8 +8,7 @@ Three contracts are pinned here:
 * **Wire format** — ``from_json(to_json(spec)) == spec`` exactly, for every
   representable spec (Hypothesis).
 * **No aliasing** — distinct cache-participating axis choices always occupy
-  distinct cache entries, while the scheduler axis (bit-identical results)
-  deliberately contributes nothing.
+  distinct cache entries.
 """
 
 import json
@@ -26,7 +25,6 @@ from repro.experiments.run_cache import RunCache, code_digest
 from repro.experiments.suite import EvaluationSuite
 from repro.hmc.config import HMCNetworkConfig, default_network
 from repro.sim import DEFAULT_SUMMARY, resolve_summary, summary_env
-from repro.sim.event_queue import DEFAULT_SCHEDULER
 from repro.system.config import SystemKind, make_system_config
 from repro.workloads import TrafficSpec
 
@@ -124,7 +122,6 @@ def test_axis_defaults_match_authoritative_constructors():
     assert AXES["stream_requests"].default == traffic.stream_requests
     assert AXES["stream_keys"].default == traffic.stream_keys
     assert AXES["summary"].default == DEFAULT_SUMMARY
-    assert AXES["scheduler"].default == DEFAULT_SCHEDULER
 
 
 def test_every_axis_default_is_a_valid_choice():
@@ -171,6 +168,8 @@ def test_from_json_rejects_unknown_versions_and_axes():
         ExperimentSpec.from_json('{"spec": 2, "axes": {}}')
     with pytest.raises(ValueError, match="unknown experiment axes"):
         ExperimentSpec.from_json('{"spec": 1, "axes": {"warp_speed": 9}}')
+    with pytest.raises(ValueError, match="unknown experiment axes"):
+        ExperimentSpec.from_json('{"spec": 1, "axes": {"scheduler": "heap"}}')
     with pytest.raises(ValueError, match="not a JSON"):
         ExperimentSpec.from_json("topology=mesh")
 
@@ -213,12 +212,6 @@ def test_distinct_cache_participating_specs_never_alias():
     ]
     keys = [json.dumps(_cell_key(spec), sort_keys=True) for spec in variants]
     assert len(set(keys)) == len(keys)
-
-
-def test_scheduler_axis_does_not_touch_suite_keys():
-    """Bit-identical-result axes must share cache entries by design."""
-    base = _cell_key(ExperimentSpec())
-    assert _cell_key(ExperimentSpec(scheduler="calendar")) == base
 
 
 # ----------------------------------------------------- warm-cache invariant
@@ -281,7 +274,7 @@ def test_axes_table_lists_every_axis():
 
 
 def test_group_slices_cover_the_registry():
-    groups = ("network", "traffic", "summary", "scheduler")
+    groups = ("network", "traffic", "summary")
     names = [name for group in groups for name in axes_for(group)]
     assert sorted(names) == sorted(AXES)
     assert list(axes_for("network")) == ["topology", "num_cubes",
