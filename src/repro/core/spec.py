@@ -1,23 +1,20 @@
 """Declarative experiment-axis registry and the :class:`ExperimentSpec`.
 
 Every experiment dimension the reproduction has grown — network shape,
-routing + fault process, link bandwidth, traffic driver, quantile-summary
-backend — is declared exactly once here as an
-:class:`Axis`: its CLI flag, ``$REPRO_*`` environment knob, default,
-label-folding rule (with default-elision) and cache-key participation all
-live in the one declaration, gem5-config-style.  The CLI generates its shared
-flag set from this registry (``run``/``report``/``prefetch``/``sweep`` used to
-carry four hand-copied flag blocks), the config labels compose their folded
-fragments from the per-axis rules, and the run cache folds the summary
-backend through the same object.
+routing + fault process, link bandwidth, traffic driver — is declared exactly
+once here as an :class:`Axis`: its CLI flag, default, label-folding rule
+(with default-elision) and cache-key participation all live in the one
+declaration, gem5-config-style.  The CLI generates its shared flag set from
+this registry (``run``/``report``/``prefetch``/``sweep`` used to carry four
+hand-copied flag blocks) and the config labels compose their folded
+fragments from the per-axis rules.
 
 An :class:`ExperimentSpec` is one immutable choice of axis values — ``None``
-meaning *unset*, so the explicit > environment > default precedence the
-backend registries established stays observable — and is the single object
-flowing CLI → config construction → :class:`~repro.experiments.EvaluationSuite`
-→ run-cache key → worker-process env export.  ``to_json``/``from_json``
-round-trip it losslessly, which is the wire format the ROADMAP's experiment
-service will submit jobs in.
+meaning *unset*, i.e. the axis default — and is the only way a run chooses a
+backend: it flows CLI → config construction →
+:class:`~repro.experiments.EvaluationSuite` → run-cache key, and no
+environment variable overrides it.  ``to_json``/``from_json`` round-trip it
+losslessly.
 
 Byte-identity contract: every label, cache key and golden digest produced
 before this layer existed is reproduced byte-for-byte.  Default-valued axes
@@ -38,11 +35,9 @@ markdown table embedded in the README (see ``tools/check_docs.py``).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 #: Version tag of the ``to_json`` wire format.
 SPEC_VERSION = 1
@@ -69,21 +64,6 @@ def _routing_choices() -> Sequence[str]:
 def _driver_choices() -> Sequence[str]:
     from ..workloads import DRIVER_BACKENDS
     return sorted(DRIVER_BACKENDS)
-
-
-def _summary_choices() -> Sequence[str]:
-    from ..sim import SUMMARY_BACKENDS
-    return sorted(SUMMARY_BACKENDS)
-
-
-# ---------------------------------------------------------------- env export
-# The knobs the CLI exports to worker processes delegate to the exact env
-# context managers they always used, so export semantics (canonicalization,
-# restore-on-exit) cannot drift.
-
-def _summary_env(value):
-    from ..sim import summary_env
-    return summary_env(value)
 
 
 # -------------------------------------------------------------------- folding
@@ -124,7 +104,7 @@ def _fold_bandwidth(v: Mapping[str, object]) -> str:
 
 @dataclass(frozen=True)
 class Axis:
-    """One experiment dimension: flag, env knob, default, fold, cache rule."""
+    """One experiment dimension: flag, default, fold, cache rule."""
 
     name: str
     #: Python value type (also the argparse ``type`` for non-choice axes).
@@ -133,11 +113,9 @@ class Axis:
     flag: str
     #: Which label/config family the axis belongs to: ``network`` axes fold
     #: into the HMCNetworkConfig fingerprint, ``traffic`` into the params
-    #: dict, and ``summary`` is a process-wide backend choice.
+    #: dict.
     group: str
     help: str
-    #: ``$REPRO_*`` knob consulted between explicit value and default.
-    env: Optional[str] = None
     #: Late-bound valid-name provider (backends/topologies); None = free-form.
     choices: Optional[Callable[[], Sequence[str]]] = None
     #: Human-readable label rule for the generated axes table.
@@ -146,7 +124,7 @@ class Axis:
     #: the axis is folded by a sibling (failure_seed) or never labeled.
     fold: Optional[Callable[[Mapping[str, object]], str]] = None
     #: How the axis reaches run-cache keys (documentation for the table; the
-    #: mechanics live in ExperimentSpec.cache_params/cache_key_extras).
+    #: mechanics live in the config label and ExperimentSpec.cache_params).
     cache: str = "via the config label"
     validate: Optional[Callable[[object], Optional[str]]] = None
     metavar: Optional[str] = None
@@ -156,15 +134,9 @@ class Axis:
     sweep: str = "single"
     sweep_dest: Optional[str] = None
     sweep_help: Optional[str] = None
-    #: Env context-manager factory for the axes the CLI exports to workers.
-    env_context: Optional[Callable[[object], object]] = None
 
     def resolve(self, value: object) -> object:
-        """Effective value under explicit > ``$ENV`` > default precedence."""
-        if value is None and self.env:
-            raw = os.environ.get(self.env)
-            if raw:
-                value = raw
+        """Effective value: the explicit one, canonicalized, else the default."""
         if value is None:
             return self.default
         value = self.type(value)
@@ -203,7 +175,7 @@ def _at_least_one(value) -> Optional[str]:
 
 #: The axis registry, in label-fold order within each group.  This order is
 #: also the generated CLI flag order: network shape, routing + faults, link
-#: bandwidth, traffic, summary.
+#: bandwidth, traffic.
 AXES: Dict[str, Axis] = {axis.name: axis for axis in (
     Axis(name="topology", type=str, default="dragonfly", flag="--topology",
          group="network", choices=_topology_choices,
@@ -230,11 +202,11 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
          sweep_help="host-side memory-controller counts to sweep "
                     "(default: Table 4.1's 4)"),
     Axis(name="routing", type=str, default="static", flag="--routing",
-         group="network", env="REPRO_ROUTING", choices=_routing_choices,
+         group="network", choices=_routing_choices,
          label_form="``-{routing}`` when non-static (``-resilient``)",
          fold=_fold_routing,
-         help="routing policy (default: $REPRO_ROUTING or static); static "
-              "is the byte-stable dense-table default, resilient recomputes "
+         help="routing policy (default: static); static is the "
+              "byte-stable dense-table default, resilient recomputes "
               "around failed links, adaptive also picks the least-backlogged "
               "shortest-path hop"),
     Axis(name="failure_rate", type=float, default=0.0, flag="--failure-rate",
@@ -261,11 +233,11 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
                     "CPU cycle (default: Table 4.1's 12.5, i.e. 25 GB/s "
                     "per direction)"),
     Axis(name="driver", type=str, default="closed", flag="--driver",
-         group="traffic", env="REPRO_DRIVER", choices=_driver_choices,
+         group="traffic", choices=_driver_choices,
          label_form="(never in labels)",
          cache="full traffic spec in the params dict when open",
-         help="traffic driver (default: $REPRO_DRIVER or closed); 'closed' "
-              "runs the paper's fixed kernels, 'open' synthesizes a seeded "
+         help="traffic driver (default: closed); 'closed' runs the "
+              "paper's fixed kernels, 'open' synthesizes a seeded "
               "open-loop request stream shaped like the workload"),
     Axis(name="arrival_rate", type=float, default=8.0, flag="--arrival-rate",
          group="traffic", metavar="RATE",
@@ -297,16 +269,6 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
          validate=_at_least_one,
          help="open driver: keys (elements) per tenant operand array "
               "(default: 4096; implies --driver open)"),
-    Axis(name="summary", type=str, default="reservoir", flag="--summary",
-         group="summary", env="REPRO_SUMMARY", choices=_summary_choices,
-         label_form="(never in labels)",
-         cache="``summary`` key entry when non-default",
-         env_context=_summary_env,
-         help="quantile-summary backend for every histogram (default: "
-              "$REPRO_SUMMARY or reservoir); 'reservoir' keeps a bounded "
-              "sample, 'sketch' a mergeable log-bucketed sketch; means and "
-              "counts — and thus golden digests — are identical across "
-              "backends"),
 )}
 
 
@@ -332,10 +294,10 @@ def fold_network_label(values: Mapping[str, object]) -> str:
 class ExperimentSpec:
     """One immutable choice of experiment-axis values.
 
-    ``None`` means *unset*: the axis resolves through its environment knob to
-    its default, exactly like the CLI flags always have.  Field order is
-    registry order; equality is field-wise, so the Hypothesis round-trip
-    property ``from_json(to_json(spec)) == spec`` is exact.
+    ``None`` means *unset*: the axis resolves to its default, exactly like an
+    absent CLI flag.  Field order is registry order; equality is field-wise,
+    so the Hypothesis round-trip property ``from_json(to_json(spec)) == spec``
+    is exact.
     """
 
     topology: Optional[str] = None
@@ -351,7 +313,6 @@ class ExperimentSpec:
     tenant_mix: Optional[str] = None
     stream_requests: Optional[int] = None
     stream_keys: Optional[int] = None
-    summary: Optional[str] = None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ExperimentSpec":
@@ -360,7 +321,7 @@ class ExperimentSpec:
 
     # -- precedence and validation ------------------------------------------------
     def resolved(self, name: str) -> object:
-        """Axis value under explicit > environment > default precedence."""
+        """Axis value: the explicit one if set, else the default."""
         return AXES[name].resolve(getattr(self, name))
 
     def is_explicit(self, name: str) -> bool:
@@ -405,36 +366,6 @@ class ExperimentSpec:
         so no knob change can alias a cached result.
         """
         return self.traffic_spec().params()
-
-    def cache_key_extras(self) -> Dict[str, object]:
-        """Key entries beyond scale/workload/params/config/profile/threads.
-
-        Today: the summary backend, only when non-default (non-default
-        summaries change percentile fields; eliding the default keeps every
-        pre-existing key byte-identical).
-        """
-        from ..sim import DEFAULT_SUMMARY
-        summary = self.resolved("summary")
-        if summary != DEFAULT_SUMMARY:
-            return {"summary": summary}
-        return {}
-
-    # -- worker-process propagation ---------------------------------------------------
-    @contextlib.contextmanager
-    def env_context(self) -> Iterator[None]:
-        """Export the env-propagated axes through their ``$REPRO_*`` knobs.
-
-        Exactly the summary export the CLI has always performed
-        (worker processes inherit the environment); unset axes leave the
-        environment untouched, and previous values are restored on exit.
-        Network and traffic axes are *not* exported: they
-        flow through configs and params dicts instead.
-        """
-        with contextlib.ExitStack() as stack:
-            for name, axis in AXES.items():
-                if axis.env_context is not None:
-                    stack.enter_context(axis.env_context(getattr(self, name)))
-            yield
 
     # -- wire format --------------------------------------------------------------
     def to_json(self) -> str:
@@ -495,15 +426,14 @@ def add_axis_flags(parser: argparse.ArgumentParser, command: str) -> None:
 # ----------------------------------------------------------------- axes table
 def render_axes_table() -> str:
     """The registry as a markdown table (README "Experiment axes" section)."""
-    rows = [("Axis", "Flag", "Env knob", "Default", "Label form"),
-            ("---", "---", "---", "---", "---")]
+    rows = [("Axis", "Flag", "Default", "Label form"),
+            ("---", "---", "---", "---")]
     for axis in AXES.values():
         default = axis.default if axis.default != "" else "(empty)"
         # label_form strings use RST-style double backticks (they also land
         # in docstrings); markdown wants single ones.
-        rows.append((f"`{axis.name}`", f"`{axis.flag}`",
-                     f"`${axis.env}`" if axis.env else "—",
-                     f"`{default}`", axis.label_form.replace("``", "`")))
+        rows.append((f"`{axis.name}`", f"`{axis.flag}`", f"`{default}`",
+                     axis.label_form.replace("``", "`")))
     return "\n".join("| " + " | ".join(row) + " |" for row in rows)
 
 
@@ -514,12 +444,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--table", action="store_true",
                         help="print the markdown axes table")
     parser.add_argument("--json", action="store_true",
-                        help="print the registry as JSON (name, flag, env, "
+                        help="print the registry as JSON (name, flag, "
                              "default, group per axis)")
     args = parser.parse_args(argv)
     if args.json:
-        print(json.dumps({name: {"flag": axis.flag, "env": axis.env,
-                                 "default": axis.default, "group": axis.group}
+        print(json.dumps({name: {"flag": axis.flag, "default": axis.default,
+                                 "group": axis.group}
                           for name, axis in AXES.items()}, indent=1))
         return 0
     print(render_axes_table())

@@ -181,11 +181,6 @@ class EvaluationSuite:
             build_network_topology(net.topology, num_cubes=net.num_cubes,
                                    num_controllers=net.num_controllers)
         self.net = net
-        #: The experiment spec behind this suite.  CLI entry points hand the
-        #: parsed spec in; direct constructions fall back to an all-default
-        #: one, whose axes resolve through the same env > default chain the
-        #: pre-spec code used — cache keys come out byte-identical.
-        self.spec = spec if spec is not None else ExperimentSpec()
         #: Traffic driver for every matrix cell.  The default closed driver
         #: adds zero parameters, so labels and cache keys are byte-identical
         #: to a suite without a traffic spec; the open driver folds its full
@@ -247,8 +242,7 @@ class EvaluationSuite:
         return RunCache.make_key(scale=self.scale.name, workload=workload,
                                  params=params, config_label=config_label,
                                  profile=self.profile,
-                                 num_threads=self.scale.num_threads,
-                                 spec=self.spec)
+                                 num_threads=self.scale.num_threads)
 
     def _cache_get(self, workload: str, config_label: str,
                    params: Dict[str, object]) -> Optional[RunResult]:

@@ -7,12 +7,11 @@ split-point computation relies on this determinism: the split point of two
 operands is the last cube shared by the two deterministic paths from the tree
 root toward each operand.
 
-Routing is *pluggable* the same way the latency summary is (see
-:mod:`repro.core.backends`): every policy implements the same small
+Routing is *pluggable*: every policy implements the same small
 interface — ``next_hop`` / ``distance`` / ``path`` / ``split_point`` /
 ``nearest`` / ``on_link_state_change`` — and registers in
-:data:`ROUTING_BACKENDS`; :func:`resolve_routing` picks one by explicit name,
-``$REPRO_ROUTING``, or the default.  Three implementations ship:
+:data:`ROUTING_BACKENDS`; the network config's ``routing`` field names the one
+a run uses (:func:`resolve_routing` validates it).  Three implementations ship:
 
 * :class:`RoutingTable` (``static``) — the dense table the hot loop was tuned
   on.  Computed once; cannot react to link failures (``on_link_state_change``
@@ -66,7 +65,6 @@ from array import array
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple, Type
 
-from ..core.backends import BackendRegistry
 from .topology import Topology
 
 #: Dense-table marker for an unreachable (or non-existent) destination.
@@ -426,40 +424,23 @@ ROUTING_BACKENDS: Dict[str, Type[RoutingTable]] = {
 
 DEFAULT_ROUTING = "static"
 
-#: Environment variable consulted when no explicit policy is requested.
-ROUTING_ENV = "REPRO_ROUTING"
-
-#: The shared resolve/make/env machinery (see repro.core.backends); the
-#: module-level helpers below stay the public API.
-ROUTING_REGISTRY = BackendRegistry("routing policy", ROUTING_BACKENDS,
-                                   DEFAULT_ROUTING, ROUTING_ENV)
-
 
 def resolve_routing(name: Optional[str] = None) -> str:
-    """Canonical routing-policy name for a request.
+    """Canonical routing-policy name for a request (``None`` -> ``static``).
 
-    Resolution order: explicit ``name``, then ``$REPRO_ROUTING``, then the
-    default (``static``).  Unknown names raise ``ValueError`` listing the
-    choices.  ``static`` and ``resilient`` are bit-identical on a failure-free
-    network; ``adaptive`` legitimately changes results, so cache-aware entry
-    points (the CLI, the evaluation suite) select policies through the network
-    config — whose label keys every cache entry — and treat the environment
-    variable as a kernel-testing knob.
+    Unknown names raise ``ValueError`` listing the choices.  ``static`` and
+    ``resilient`` are bit-identical on a failure-free network; ``adaptive``
+    legitimately changes results, which is why a run picks its policy through
+    the network config, whose label keys every cache entry.
     """
-    return ROUTING_REGISTRY.resolve(name)
+    canonical = DEFAULT_ROUTING if name is None else str(name).strip().lower()
+    if canonical not in ROUTING_BACKENDS:
+        raise ValueError(
+            f"unknown routing policy {name!r}; choose from "
+            f"{', '.join(sorted(ROUTING_BACKENDS))}")
+    return canonical
 
 
 def make_routing(topology: Topology, name: Optional[str] = None) -> RoutingTable:
     """Instantiate the routing policy selected by :func:`resolve_routing`."""
-    return ROUTING_REGISTRY.make(name, topology)
-
-
-def routing_env(name: Optional[str]):
-    """Temporarily export a routing choice through ``$REPRO_ROUTING``.
-
-    Mirrors :func:`repro.sim.stats.summary_env`: worker processes
-    inherit the environment, so one export covers serial and parallel paths;
-    the previous value is restored on exit.  ``None`` leaves the environment
-    untouched.
-    """
-    return ROUTING_REGISTRY.env(name)
+    return ROUTING_BACKENDS[resolve_routing(name)](topology)

@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa import ProgramTrace
 from ..power.energy_model import EnergyBreakdown, EnergyModel
+from ..sim import Histogram
 from .builder import BuiltSystem
 
 #: Relative tolerance used when checking reduction results against expectations.
@@ -138,7 +139,7 @@ def _collect_update_latency(system: BuiltSystem) -> Dict[str, float]:
     return out
 
 
-def _tenant_fairness(core_hists: List[Tuple[int, object]], cycles: float,
+def _tenant_fairness(core_hists: List[Tuple[int, Histogram]], cycles: float,
                      metadata: Optional[Dict[str, object]]) -> Dict[str, float]:
     """Per-tenant request split and Jain's fairness index for open runs.
 
@@ -157,19 +158,15 @@ def _tenant_fairness(core_hists: List[Tuple[int, object]], cycles: float,
     out: Dict[str, float] = {}
     throughputs = []
     for index in range(len(tenants)):
-        merged = None
+        merged = Histogram()
         for core_index, hist in core_hists:
-            if core_index % len(tenants) != index:
-                continue
-            if merged is None:
-                merged = type(hist)()
-            merged.merge(hist)
-        count = float(merged.count) if merged is not None else 0.0
+            if core_index % len(tenants) == index:
+                merged.merge(hist)
+        count = float(merged.count)
         throughput = count * 1000.0 / cycles if cycles else 0.0
         throughputs.append(throughput)
         out[f"tenant{index}.count"] = count
-        out[f"tenant{index}.p99"] = (merged.percentile(0.99)
-                                     if merged is not None else 0.0)
+        out[f"tenant{index}.p99"] = merged.percentile(0.99)
         out[f"tenant{index}.throughput"] = throughput
     total = sum(throughputs)
     squares = sum(x * x for x in throughputs)
@@ -184,10 +181,9 @@ def _collect_request_stats(system: BuiltSystem, cycles: float,
                            ) -> Dict[str, float]:
     """Merged open-loop request-latency percentiles across cores.
 
-    Per-core ``core*.request_latency`` summaries (empty unless the trace
-    carried ArrivalOps) merge in core-id order into one summary of the same
-    backend type, so the percentile semantics follow the selected summary
-    backend and the merge order is deterministic.  Multi-tenant open runs
+    Per-core ``core*.request_latency`` histograms (empty unless the trace
+    carried ArrivalOps) merge in core-id order into one histogram, so the
+    merge order is deterministic.  Multi-tenant open runs
     additionally report per-tenant counts/p99/throughput and Jain's fairness
     index (see :func:`_tenant_fairness`).
     """
@@ -199,10 +195,9 @@ def _collect_request_stats(system: BuiltSystem, cycles: float,
             core_hists.append((core_index, hist))
     if not core_hists:
         return {}
-    parts = [hist for _, hist in core_hists]
-    merged = type(parts[0])()
-    for part in parts:
-        merged.merge(part)
+    merged = Histogram()
+    for _, hist in core_hists:
+        merged.merge(hist)
     out = {
         "count": float(merged.count),
         "mean": merged.mean,

@@ -43,10 +43,7 @@ def run_program(config: Union[SystemConfig, SystemKind, str], program: ProgramTr
     system.cmp.load_program(program)
     system.cmp.start()
     system.sim.run_until_idle(max_events=max_events)
-    if not system.cmp.all_done:
-        raise SimulationError(
-            f"run of {program.name!r} on {system.config.label} ended with unfinished cores"
-        )
+    check_cores_finished(system, program.name)
     result = collect_results(system, program)
     # Measured wall time (build + simulate + collect) feeds the evaluation
     # suite's cost model: the run cache persists it so later prefetch batches
@@ -54,6 +51,21 @@ def run_program(config: Union[SystemConfig, SystemKind, str], program: ProgramTr
     # KIND_COST heuristic.  Not part of any determinism fingerprint.
     result.metadata["wall_s"] = round(time.perf_counter() - start, 6)
     return result
+
+
+def check_cores_finished(system: BuiltSystem, name: str) -> None:
+    """Raise :class:`SimulationError` naming every core that did not finish:
+    its id, trace position, what it is blocked on and its outstanding memory
+    requests.  Cheap when every core finished; the diagnosis is built on the
+    error path only."""
+    if system.cmp.all_done:
+        return
+    stuck = "; ".join(
+        f"core {core.core_id} at pc {core.pc}/{len(core.trace)}, blocked on "
+        f"{core.blocked_reason or 'nothing'}, {core.outstanding_mem} "
+        f"outstanding mem" for core in system.cmp.cores if not core.done)
+    raise SimulationError(f"run of {name!r} on {system.config.label} ended "
+                          f"with unfinished cores: {stuck}")
 
 
 def prepare_program(config: SystemConfig, workload: Union[Workload, str],

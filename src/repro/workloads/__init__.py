@@ -20,7 +20,6 @@ from .drivers import (
     OpenStreamWorkload,
     TrafficDriver,
     TrafficSpec,
-    driver_env,
     make_driver,
     resolve_driver,
     split_driver_params,
@@ -47,7 +46,6 @@ __all__ = [
     "OpenStreamWorkload",
     "TrafficDriver",
     "TrafficSpec",
-    "driver_env",
     "make_driver",
     "resolve_driver",
     "split_driver_params",

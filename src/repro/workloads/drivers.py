@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.backends import BackendRegistry
 from ..isa import (ArrivalOp, ChunkedThreadTrace, ComputeOp, GatherOp, LoadOp,
                    Operation, ProgramTrace, StoreOp, TraceBuilder, UpdateOp)
 from .base import ELEMENT_SIZE, Workload, WorkloadConfig, make_workload, workload_names
@@ -157,7 +156,7 @@ class TrafficSpec:
                        ("stream-keys", stream_keys))
                       if value is not None]
         if driver is None:
-            driver = "open" if open_knobs else resolve_driver(None)
+            driver = "open" if open_knobs else DEFAULT_DRIVER
         driver = resolve_driver(driver)
         if driver == "closed" and open_knobs:
             raise ValueError(
@@ -452,22 +451,17 @@ DRIVER_BACKENDS: Dict[str, type] = {
 
 DEFAULT_DRIVER = "closed"
 
-DRIVER_ENV = "REPRO_DRIVER"
-
-DRIVER_REGISTRY = BackendRegistry("traffic driver", DRIVER_BACKENDS,
-                                  DEFAULT_DRIVER, DRIVER_ENV)
-
 
 def resolve_driver(name: Optional[str] = None) -> str:
-    """Canonical driver name (explicit > $REPRO_DRIVER > default)."""
-    return DRIVER_REGISTRY.resolve(name)
+    """Canonical driver name (``None`` -> ``closed``); unknown names raise."""
+    canonical = DEFAULT_DRIVER if name is None else str(name).strip().lower()
+    if canonical not in DRIVER_BACKENDS:
+        raise ValueError(
+            f"unknown traffic driver {name!r}; choose from "
+            f"{', '.join(sorted(DRIVER_BACKENDS))}")
+    return canonical
 
 
 def make_driver(name: Optional[str] = None) -> TrafficDriver:
     """Instantiate the selected traffic driver."""
-    return DRIVER_REGISTRY.make(name)
-
-
-def driver_env(name: Optional[str]):
-    """Temporarily export a driver choice through $REPRO_DRIVER."""
-    return DRIVER_REGISTRY.env(name)
+    return DRIVER_BACKENDS[resolve_driver(name)]()

@@ -24,3 +24,17 @@ TINY_WORKLOAD_PARAMS = {
 def tiny_params(workload: str) -> dict:
     """Tiny problem sizes for a workload (helper used by integration tests)."""
     return dict(TINY_WORKLOAD_PARAMS.get(workload, {}))
+
+
+#: Environment variables that once chose a backend, by suffix after
+#: ``REPRO_``, each with a value that would have changed a default run.  A run
+#: chooses its backends only through its config and spec, so setting any of
+#: them must change nothing.
+RETIRED_BACKEND_KNOBS = {"ROUTING": "adaptive", "DRIVER": "open",
+                         "SUMMARY": "sketch"}
+
+
+def set_retired_backend_knobs(monkeypatch) -> None:
+    """Export every retired backend knob with its result-changing value."""
+    for suffix, value in RETIRED_BACKEND_KNOBS.items():
+        monkeypatch.setenv(f"REPRO_{suffix}", value)

@@ -232,15 +232,13 @@ def test_event_queue_matches_sorted_list_model(ops):
 
 def test_registry_and_default():
     """The event queue is not a pluggable backend: the heap is the one queue
-    the simulator builds, and the only registry ``repro.sim`` exports is the
-    latency-summary family."""
+    the simulator builds, and ``repro.sim`` exports no backend registry."""
     import repro.sim as sim_pkg
     from repro.sim import Simulator
 
     queues = [name for name in sim_pkg.__all__ if name.endswith("Queue")]
     assert queues == ["EventQueue"]
-    registries = [name for name in sim_pkg.__all__ if name.endswith("_BACKENDS")]
-    assert registries == ["SUMMARY_BACKENDS"]
+    assert not [name for name in sim_pkg.__all__ if name.endswith("_BACKENDS")]
     sim = Simulator()
     assert type(sim.events) is EventQueue
     sim.reset()

@@ -24,7 +24,7 @@ import hashlib
 
 import pytest
 
-from repro.sim import SUMMARY_BACKENDS
+from repro.sim import Histogram
 from repro.system import CONFIG_ORDER, run_suite
 from repro.system.builder import build_system
 from repro.system.config import make_system_config
@@ -66,13 +66,9 @@ def snapshot_digest(stats) -> str:
     return hasher.hexdigest()
 
 
-def run_tiny_pagerank(kind, monkeypatch=None, routing=None, net=None):
-    # ``routing`` exports the kernel-testing env knob ($REPRO_ROUTING), the
-    # path CI's resilient job exercises; ``net`` passes explicit network
-    # overrides through the config, the path the CLI and the suite use.
-    if routing is not None:
-        assert monkeypatch is not None
-        monkeypatch.setenv("REPRO_ROUTING", routing)
+def run_tiny_pagerank(kind, net=None):
+    # ``net`` passes network overrides through the config, the one path the
+    # CLI, the suite and the tools choose a routing policy by.
     config = make_system_config(kind, **(net or {}))
     wconfig = WorkloadConfig()
     wconfig.num_threads = 4
@@ -89,10 +85,10 @@ def run_tiny_pagerank(kind, monkeypatch=None, routing=None, net=None):
 @pytest.mark.parametrize("routing", ["static", "resilient"])
 @pytest.mark.parametrize("kind", CONFIG_ORDER,
                          ids=[f"{k.value}-heap" for k in CONFIG_ORDER])
-def test_golden_cycles_events_and_stats_digest(kind, routing, monkeypatch):
+def test_golden_cycles_events_and_stats_digest(kind, routing):
     # The resilient policy is bit-identical to static on a failure-free
     # network (the lockstep contract), so ONE golden row serves both columns.
-    system = run_tiny_pagerank(kind, monkeypatch=monkeypatch, routing=routing)
+    system = run_tiny_pagerank(kind, net=dict(routing=routing))
     cycles, events, digest = GOLDEN[kind.value]
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
@@ -121,21 +117,20 @@ def test_degraded_golden_fixed_failure_seed(net):
     assert system.sim.stats.snapshot()["network.dropped"] > 0
 
 
-@pytest.mark.parametrize("summary", sorted(SUMMARY_BACKENDS))
+@pytest.mark.parametrize("summary", ["reservoir"])
 @pytest.mark.parametrize("kind", ["HMC", "ARF-tid"])
-def test_golden_digest_holds_under_every_summary_backend(kind, summary,
-                                                         monkeypatch):
-    # The stats snapshot records per-histogram mean and count only, and every
-    # summary backend accumulates count/total exactly — so swapping the
-    # reservoir for the sketch must reproduce the SAME golden digests, not
-    # new ones.  (Percentile estimates may differ; digests may not.)
-    monkeypatch.setenv("REPRO_SUMMARY", summary)
+def test_golden_digest_holds_under_every_summary_backend(kind, summary):
+    # The reservoir Histogram is the one summary left; the snapshot records
+    # each histogram's mean and count, and every histogram the run
+    # registered is a reservoir.  (The ID keeps its summary fragment.)
     system = run_tiny_pagerank(kind)
     cycles, events, digest = GOLDEN[kind]
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
     assert snapshot_digest(system.sim.stats) == digest
-    assert system.sim.stats.summary_backend == summary
+    histograms = system.sim.stats.histograms()
+    assert histograms
+    assert all(isinstance(h, Histogram) for h in histograms.values())
 
 
 #: Open-driver golden: ARF-tid, two-tenant mac+pagerank stream at a fixed

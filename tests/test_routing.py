@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from repro.network import (
     DEFAULT_ROUTING,
     ROUTING_BACKENDS,
-    ROUTING_ENV,
     AdaptiveRouting,
     MemoryNetwork,
     ResilientRoutingTable,
@@ -23,10 +22,11 @@ from repro.network import (
     build_mesh,
     make_routing,
     resolve_routing,
-    routing_env,
 )
 from repro.network.routing import NO_ROUTE
 from repro.sim import Simulator
+
+from helpers import set_retired_backend_knobs
 
 TOPO = build_dragonfly()
 TABLE = RoutingTable(TOPO)
@@ -223,39 +223,22 @@ def test_registry_contract_flags():
 
 
 def test_resolve_routing_precedence(monkeypatch):
-    monkeypatch.delenv(ROUTING_ENV, raising=False)
+    # Only an explicit name picks a policy; the environment is never read.
+    set_retired_backend_knobs(monkeypatch)
     assert resolve_routing() == DEFAULT_ROUTING
-    monkeypatch.setenv(ROUTING_ENV, "resilient")
-    assert resolve_routing() == "resilient"          # env beats default
-    assert resolve_routing("adaptive") == "adaptive"  # explicit beats env
-    monkeypatch.setenv(ROUTING_ENV, "")
-    assert resolve_routing() == DEFAULT_ROUTING       # empty env -> default
+    assert resolve_routing("adaptive") == "adaptive"
     assert resolve_routing("  Resilient ") == "resilient"  # normalized
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown routing policy 'wormhole'; "
+                       "choose from adaptive, resilient, static"):
         resolve_routing("wormhole")
-
-
-def test_routing_env_round_trip(monkeypatch):
-    monkeypatch.delenv(ROUTING_ENV, raising=False)
-    import os
-    with routing_env("resilient"):
-        assert os.environ[ROUTING_ENV] == "resilient"
-        with routing_env(None):  # None leaves the environment untouched
-            assert os.environ[ROUTING_ENV] == "resilient"
-    assert ROUTING_ENV not in os.environ
-    monkeypatch.setenv(ROUTING_ENV, "adaptive")
-    with routing_env("static"):
-        assert os.environ[ROUTING_ENV] == "static"
-    assert os.environ[ROUTING_ENV] == "adaptive"  # previous value restored
 
 
 def test_make_routing_instantiates_registered_class(monkeypatch):
     topo = build_mesh(rows=2, cols=2, num_controllers=1)
-    monkeypatch.delenv(ROUTING_ENV, raising=False)
+    set_retired_backend_knobs(monkeypatch)
     assert type(make_routing(topo)) is RoutingTable
     assert type(make_routing(topo, "resilient")) is ResilientRoutingTable
-    monkeypatch.setenv(ROUTING_ENV, "adaptive")
-    assert type(make_routing(topo)) is AdaptiveRouting
+    assert type(make_routing(topo, "adaptive")) is AdaptiveRouting
 
 
 # -- resilient policy: the pristine/live split --------------------------------
@@ -362,3 +345,17 @@ def test_adaptive_reroutes_around_a_dead_link():
     net.set_link_state(0, 2, False)
     with pytest.raises(ValueError):
         policy.route(0, 3)  # cut off: fails loudly, no stale route
+
+
+def test_adaptive_beats_static_on_a_congested_mesh():
+    # The hotspot that keeps adaptive: random two-operand updates on a mesh
+    # whose links run at 2 bytes/cycle.  Adaptive spreads them over the
+    # less-backlogged shortest-path hops (9,694.0 vs 11,060.4 cycles here).
+    from repro.system import make_system_config, run_workload
+
+    results = {routing: run_workload(
+        make_system_config("ARF-tid", topology="mesh", link_bandwidth=2.0,
+                           routing=routing), "rand_mac", array_elements=2048)
+        for routing in ("static", "adaptive")}
+    assert all(result.flows_verified for result in results.values())
+    assert results["adaptive"].cycles < results["static"].cycles

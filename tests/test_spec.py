@@ -24,9 +24,12 @@ from repro.core.spec import (AXES, ExperimentSpec, axes_for,
 from repro.experiments.run_cache import RunCache, code_digest
 from repro.experiments.suite import EvaluationSuite
 from repro.hmc.config import HMCNetworkConfig, default_network
-from repro.sim import DEFAULT_SUMMARY, resolve_summary, summary_env
+from repro.system import run_workload
+from repro.system.builder import build_system
 from repro.system.config import SystemKind, make_system_config
 from repro.workloads import TrafficSpec
+
+from helpers import RETIRED_BACKEND_KNOBS, set_retired_backend_knobs
 
 CORPUS = Path(__file__).parent / "data" / "spec_corpus.json"
 
@@ -50,7 +53,7 @@ def _build_config(inputs):
 def test_frozen_corpus_labels_and_cache_keys_byte_identical():
     """Every pre-refactor label and cache key reproduces byte-for-byte."""
     corpus = json.loads(CORPUS.read_text())
-    assert len(corpus) == 22
+    assert len(corpus) == 20
     for entry in corpus:
         inputs = entry["inputs"]
         config = _build_config(inputs)
@@ -63,32 +66,11 @@ def test_frozen_corpus_labels_and_cache_keys_byte_identical():
         params = dict(inputs["params"])
         if inputs["traffic"] is not None:
             params.update(TrafficSpec(**inputs["traffic"]).params())
-        with summary_env(inputs["summary"]):
-            key = RunCache.make_key(scale=inputs["scale"],
-                                    workload=inputs["workload"],
-                                    params=params, config_label=config.label,
-                                    profile="scaled",
-                                    num_threads=inputs["num_threads"])
-        key.pop("digest")
-        assert key == entry["cache_key_sans_digest"], entry["name"]
-
-
-def test_spec_driven_keys_match_env_driven_keys():
-    """make_key(spec=...) and the legacy env path produce identical bytes."""
-    corpus = json.loads(CORPUS.read_text())
-    for entry in corpus:
-        inputs = entry["inputs"]
-        if "net" in inputs:
-            continue
-        config = _build_config(inputs)
-        params = dict(inputs["params"])
-        if inputs["traffic"] is not None:
-            params.update(TrafficSpec(**inputs["traffic"]).params())
-        spec = ExperimentSpec(summary=inputs["summary"])
         key = RunCache.make_key(scale=inputs["scale"],
-                                workload=inputs["workload"], params=params,
-                                config_label=config.label, profile="scaled",
-                                num_threads=inputs["num_threads"], spec=spec)
+                                workload=inputs["workload"],
+                                params=params, config_label=config.label,
+                                profile="scaled",
+                                num_threads=inputs["num_threads"])
         key.pop("digest")
         assert key == entry["cache_key_sans_digest"], entry["name"]
 
@@ -121,7 +103,6 @@ def test_axis_defaults_match_authoritative_constructors():
     assert AXES["tenant_mix"].default == traffic.tenant_mix
     assert AXES["stream_requests"].default == traffic.stream_requests
     assert AXES["stream_keys"].default == traffic.stream_keys
-    assert AXES["summary"].default == DEFAULT_SUMMARY
 
 
 def test_every_axis_default_is_a_valid_choice():
@@ -175,11 +156,34 @@ def test_from_json_rejects_unknown_versions_and_axes():
 
 
 def test_resolution_precedence_explicit_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_SUMMARY", raising=False)
-    assert ExperimentSpec().resolved("summary") == "reservoir"
-    monkeypatch.setenv("REPRO_SUMMARY", "sketch")
-    assert ExperimentSpec().resolved("summary") == "sketch"
-    assert ExperimentSpec(summary="reservoir").resolved("summary") == "reservoir"
+    # Explicit beats default, and the environment plays no part.
+    set_retired_backend_knobs(monkeypatch)
+    assert ExperimentSpec().resolved("routing") == "static"
+    assert ExperimentSpec().resolved("driver") == "closed"
+    assert ExperimentSpec(routing="Resilient").resolved("routing") == "resilient"
+    assert ExperimentSpec().traffic_spec().is_default
+    assert ExperimentSpec().network_config().routing == "static"
+
+
+def _default_run_fingerprint():
+    """A default-config run's results, cache key and routing policy."""
+    result = run_workload("ARF-tid", "mac", num_threads=2, array_elements=512)
+    key = RunCache.make_key(scale="tiny", workload="mac", params={},
+                            config_label=result.config, profile="scaled",
+                            num_threads=2)
+    routing = build_system(make_system_config("ARF-tid")).memory.network.routing
+    return result.summary(), key, routing.name
+
+
+@pytest.mark.parametrize("suffix", sorted(RETIRED_BACKEND_KNOBS))
+def test_retired_backend_knob_changes_nothing(suffix, monkeypatch):
+    """A backend is chosen through the spec only: a variable that once chose
+    one changes neither a default run, nor its cache key, nor its system."""
+    name = f"REPRO_{suffix}"
+    monkeypatch.delenv(name, raising=False)
+    cleared = _default_run_fingerprint()
+    monkeypatch.setenv(name, RETIRED_BACKEND_KNOBS[suffix])
+    assert _default_run_fingerprint() == cleared
 
 
 # ----------------------------------------------------------------- no aliasing
@@ -190,7 +194,7 @@ def _cell_key(spec):
     params.update(spec.cache_params())
     return RunCache.make_key(scale="tiny", workload="mac", params=params,
                              config_label=config.label, profile="scaled",
-                             num_threads=4, spec=spec)
+                             num_threads=4)
 
 
 def test_distinct_cache_participating_specs_never_alias():
@@ -208,7 +212,6 @@ def test_distinct_cache_participating_specs_never_alias():
         ExperimentSpec(driver="open", zipf_s=0.5),
         ExperimentSpec(driver="open", tenant_mix="mac,pagerank"),
         ExperimentSpec(driver="open", stream_requests=64),
-        ExperimentSpec(summary="sketch"),
     ]
     keys = [json.dumps(_cell_key(spec), sort_keys=True) for spec in variants]
     assert len(set(keys)) == len(keys)
@@ -217,13 +220,13 @@ def test_distinct_cache_participating_specs_never_alias():
 # ----------------------------------------------------- warm-cache invariant
 def _frozen_pre_refactor_key(*, scale, workload, params, config_label,
                              profile, num_threads):
-    """The cache-key construction vendored verbatim from the pre-spec code.
+    """The cache-key construction of the pre-spec code (default summary).
 
     ``code_digest()`` is evaluated at runtime on both sides, so it cancels:
-    what this pins is the *layout* — field names, order-insensitive content,
-    summary-only-when-non-default.
+    what this pins is the *layout* — field names and order-insensitive
+    content.
     """
-    key = {
+    return {
         "digest": code_digest(),
         "scale": scale,
         "workload": workload,
@@ -232,10 +235,6 @@ def _frozen_pre_refactor_key(*, scale, workload, params, config_label,
         "profile": profile,
         "num_threads": num_threads,
     }
-    summary = resolve_summary()
-    if summary != DEFAULT_SUMMARY:
-        key["summary"] = summary
-    return key
 
 
 def test_warm_pre_refactor_cache_serves_post_refactor_suite(tmp_path):
@@ -274,7 +273,7 @@ def test_axes_table_lists_every_axis():
 
 
 def test_group_slices_cover_the_registry():
-    groups = ("network", "traffic", "summary")
+    groups = ("network", "traffic")
     names = [name for group in groups for name in axes_for(group)]
     assert sorted(names) == sorted(AXES)
     assert list(axes_for("network")) == ["topology", "num_cubes",

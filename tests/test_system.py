@@ -14,6 +14,8 @@ from repro.system import (
     run_workload,
     table_4_1,
 )
+from repro.sim import SimulationError
+from repro.system.runner import check_cores_finished
 from repro.workloads import make_workload, WorkloadConfig
 
 from helpers import tiny_params
@@ -71,6 +73,25 @@ def test_run_program_rejects_wrong_mode():
     config = make_system_config("DRAM", num_cores=2)
     with pytest.raises(ValueError):
         run_program(config, active_program)
+
+
+def test_unfinished_cores_are_named_with_their_state():
+    workload = make_workload("mac", WorkloadConfig(num_threads=2), array_elements=256)
+    program = workload.generate("baseline")
+    system = build_system("HMC", num_cores=2)
+    system.cmp.load_program(program)
+    system.cmp.start()
+    system.sim.run(max_events=50)   # stop early: both miss windows are full
+    length = len(program.threads[0])
+    with pytest.raises(SimulationError) as info:
+        check_cores_finished(system, program.name)
+    message = str(info.value)
+    assert message.startswith("run of 'mac' on HMC ended with unfinished cores: ")
+    for core_id in (0, 1):
+        assert (f"core {core_id} at pc 72/{length}, blocked on mem_window, "
+                f"48 outstanding mem") in message
+    system.sim.run_until_idle()
+    check_cores_finished(system, program.name)   # finished: no error
 
 
 def test_run_workload_rejects_too_many_threads():

@@ -19,13 +19,14 @@ Usage::
 
 The basket sizes match the profiled PageRank/`ARF-tid` case the kernel fast
 path was tuned on; ``--smoke`` shrinks every run to seconds-scale sizes for CI.
-``--routing`` selects the routing policy; ``--routing both`` is an
-interleaved static/resilient A/B with ``@static``/``@resilient`` run keys
-that asserts the two policies agree bit-for-bit on the failure-free basket
-(the lockstep contract) and prints the overhead ratio of carrying the
-fault-capable machinery.  ``--cubes N`` rebuilds every HMC-backed
-configuration with an N-cube memory network (``+cN`` key suffix) — the
-64-cube sweep scale runs at much larger pending-event counts.
+``--routing`` selects the routing policy through each run's system config;
+``--routing both`` is an interleaved static/resilient A/B with
+``@static``/``@resilient`` run keys that asserts the two policies agree
+bit-for-bit on the failure-free basket (the lockstep contract) and prints
+the overhead ratio of carrying the fault-capable machinery.  ``--cubes N``
+rebuilds every HMC-backed configuration with an N-cube memory network
+(``+cN`` key suffix) — the 64-cube sweep scale runs at much larger
+pending-event counts.
 ``--prefetch SCALE`` benchmarks the evaluation-suite orchestration layer
 instead: a cold parallel prefetch into a throwaway cache directory,
 then a warm re-run that must perform zero simulations.
@@ -45,8 +46,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.network.routing import (ROUTING_BACKENDS, resolve_routing,  # noqa: E402
-                                   routing_env)
+from repro.network.routing import ROUTING_BACKENDS, resolve_routing  # noqa: E402
 from repro.system import make_system_config, run_workload  # noqa: E402
 
 #: The fixed measurement basket: (workload, configuration, params).
@@ -97,32 +97,38 @@ def profile_entry(key, system_config, workload, num_threads, params, top: int = 
     return columns
 
 
+def system_config_for(config: str, num_cubes=None, routing=None):
+    """The system a basket entry runs: the named configuration, rebuilt with
+    an N-cube memory network and/or a routing policy when given (DRAM has no
+    memory network, so it always runs as named)."""
+    if config == "DRAM" or not (num_cubes or routing):
+        return config
+    return make_system_config(config, num_cubes=num_cubes, routing=routing)
+
+
 def run_basket(basket, num_threads: int = 4, repeat: int = 3,
                num_cubes=None, profile: bool = False, routing=None):
     """Run every basket entry ``repeat`` times; keep the best wall time.
 
-    ``routing`` picks the routing policy for every run (``None`` keeps the
-    ambient ``$REPRO_ROUTING``/default); ``num_cubes`` rebuilds each
-    HMC-backed configuration with that many memory cubes and suffixes the run
-    keys with ``+cN`` so entries at different network scales never alias in
-    the trajectory file.  ``profile`` adds one instrumented run per entry
-    (cProfile table + tracemalloc allocation columns).
+    ``routing`` picks the routing policy for every run (``None`` = static);
+    ``num_cubes`` rebuilds each HMC-backed configuration with that many
+    memory cubes and suffixes the run keys with ``+cN`` so entries at
+    different network scales never alias in the trajectory file.  ``profile``
+    adds one instrumented run per entry (cProfile table + tracemalloc
+    allocation columns).
     """
     runs = {}
     suffix = f"+c{num_cubes}" if num_cubes else ""
     for workload, config, params in basket:
         key = f"{workload}/{config}{suffix}"
-        system_config = config
-        if num_cubes and config != "DRAM":
-            system_config = make_system_config(config, num_cubes=num_cubes)
+        system_config = system_config_for(config, num_cubes, routing)
         best = float("inf")
         result = None
-        with routing_env(routing):
-            for _ in range(max(1, repeat)):
-                start = time.perf_counter()
-                result = run_workload(system_config, workload,
-                                      num_threads=num_threads, **params)
-                best = min(best, time.perf_counter() - start)
+        for _ in range(max(1, repeat)):
+            start = time.perf_counter()
+            result = run_workload(system_config, workload,
+                                  num_threads=num_threads, **params)
+            best = min(best, time.perf_counter() - start)
         runs[key] = {
             "wall_s": round(best, 3),
             "events": result.events_executed,
@@ -136,9 +142,8 @@ def run_basket(basket, num_threads: int = 4, repeat: int = 3,
         print(f"{key:24s} {best:7.3f}s  {runs[key]['events_per_s']:>11,.0f} ev/s  "
               f"cycles={result.cycles:,.0f}")
         if profile:
-            with routing_env(routing):
-                runs[key].update(profile_entry(key, system_config, workload,
-                                               num_threads, params))
+            runs[key].update(profile_entry(key, system_config, workload,
+                                           num_threads, params))
     return runs
 
 
@@ -164,22 +169,19 @@ def run_routing_ab(basket, num_threads: int = 4, repeat: int = 3,
     suffix = f"+c{num_cubes}" if num_cubes else ""
     for workload, config, params in basket:
         base_key = f"{workload}/{config}{suffix}"
-        system_config = config
-        if num_cubes and config != "DRAM":
-            system_config = make_system_config(config, num_cubes=num_cubes)
+        system_configs = {routing: system_config_for(config, num_cubes, routing)
+                          for routing in AB_ROUTINGS}
         best = {routing: float("inf") for routing in AB_ROUTINGS}
         result = {}
-        with routing_env("static"):
-            run_workload(system_config, workload, num_threads=num_threads,
-                         **params)  # warm-up, untimed
+        run_workload(system_configs["static"], workload,
+                     num_threads=num_threads, **params)  # warm-up, untimed
         for _ in range(max(1, repeat)):
             for routing in AB_ROUTINGS:
-                with routing_env(routing):
-                    start = time.perf_counter()
-                    result[routing] = run_workload(
-                        system_config, workload, num_threads=num_threads, **params)
-                    best[routing] = min(best[routing],
-                                        time.perf_counter() - start)
+                start = time.perf_counter()
+                result[routing] = run_workload(
+                    system_configs[routing], workload,
+                    num_threads=num_threads, **params)
+                best[routing] = min(best[routing], time.perf_counter() - start)
         fingerprints = {(result[r].events_executed, result[r].cycles)
                         for r in AB_ROUTINGS}
         if len(fingerprints) != 1:
@@ -308,8 +310,7 @@ def main(argv=None) -> int:
                         help="routing policy for the basket; 'both' runs an "
                              "interleaved static/resilient A/B with "
                              "@static/@resilient run keys and asserts the two "
-                             "agree bit-for-bit (default: $REPRO_ROUTING or "
-                             "static)")
+                             "agree bit-for-bit (default: static)")
     parser.add_argument("--cubes", type=int, default=None, metavar="N",
                         help="memory-network cube count for every HMC-backed "
                              "basket configuration (+cN run-key suffix); e.g. "
@@ -342,11 +343,10 @@ def main(argv=None) -> int:
         if args.profile:
             parser.error("--profile instruments kernel basket entries, not "
                          "--prefetch (profile the suite with cProfile directly)")
-        if args.routing == "both":
-            parser.error("--routing both is an A/B mode for the kernel "
-                         "basket; pick one policy for --prefetch")
-        with routing_env(args.routing):
-            runs = run_prefetch(args.prefetch, workers=args.workers)
+        if args.routing:
+            parser.error("--routing only applies to the kernel basket, not "
+                         "--prefetch (the suite fixes its own routing)")
+        runs = run_prefetch(args.prefetch, workers=args.workers)
     else:
         basket = SMOKE_BASKET if args.smoke else BASKET
         if args.routing == "both":
