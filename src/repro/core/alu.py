@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..sim import Component, Simulator
+from ..sim import Component, CounterHandle, Simulator
 
 
 class OpClass(enum.Enum):
@@ -77,27 +77,12 @@ class ALU(Component):
     def __init__(self, sim: Simulator, name: str, latency: float = 2.0) -> None:
         super().__init__(sim, name)
         self.latency = latency
-        # combine()/accumulate() run once per Update: batch the counts on
-        # plain accumulators (per-opcode counts in a small dict) and fold them
-        # in via the flush() protocol.
+        # combine()/accumulate() run once per Update: their counter cells are
+        # bound here, and each per-opcode cell on the opcode's first use (a
+        # small dict keyed by opcode).
         self._h_ops = self.counter_handle("ops")
         self._h_reductions = self.counter_handle("reductions")
-        self._n_ops = 0
-        self._n_reductions = 0
-        self._n_ops_by_opcode: Dict[str, int] = {}
-        sim.stats.register_flushable(self)
-
-    def flush(self) -> None:
-        if self._n_ops:
-            self._h_ops.value += self._n_ops
-            self._n_ops = 0
-        if self._n_reductions:
-            self._h_reductions.value += self._n_reductions
-            self._n_reductions = 0
-        for opcode, pending in self._n_ops_by_opcode.items():
-            if pending:
-                self.counter_handle(f"ops.{opcode}").value += pending
-                self._n_ops_by_opcode[opcode] = 0
+        self._h_ops_by_opcode: Dict[str, CounterHandle] = {}
 
     def combine(self, opcode: str, a: float, b: float = 0.0) -> float:
         """Execute the data-processing part of an Update (e.g. the multiply of a MAC)."""
@@ -106,9 +91,12 @@ class ALU(Component):
         spec = OPCODES.get(opcode)
         if spec is None:
             spec = opcode_spec(opcode)
-        self._n_ops += 1
-        by_opcode = self._n_ops_by_opcode
-        by_opcode[opcode] = by_opcode.get(opcode, 0) + 1
+        self._h_ops.value += 1
+        opcode_cell = self._h_ops_by_opcode.get(opcode)
+        if opcode_cell is None:
+            opcode_cell = self._h_ops_by_opcode[opcode] = self.counter_handle(
+                f"ops.{opcode}")
+        opcode_cell.value += 1
         return spec.combine(a, b)
 
     def accumulate(self, opcode: str, accumulator: Optional[float], value: float) -> float:
@@ -118,5 +106,5 @@ class ALU(Component):
             spec = opcode_spec(opcode)
         if accumulator is None:
             accumulator = spec.identity
-        self._n_reductions += 1
+        self._h_reductions.value += 1
         return spec.accumulate(accumulator, value)

@@ -17,8 +17,8 @@ The engine implements the three-phase protocol of Section 3.3:
 
 Packet handling follows the flow charts of Figure 3.4.
 
-Hot-path convention: per-event counters are plain integer accumulators
-folded into the bound stat handles by the ``flush()`` protocol.
+Hot-path convention: every per-event counter is a counter cell bound at
+construction (``self._h_<stat>``) and written when the event happens.
 """
 
 from __future__ import annotations
@@ -78,24 +78,18 @@ class ActiveRoutingEngine(Component):
                 (PacketType.GATHER_RESP, self._handle_gather_response)):
             self._dispatch[ptype._code] = handler
         # handle_packet() fires for every active packet that crosses this cube,
-        # so counting runs on plain integer accumulators; flush() folds them
-        # into the bound handles on demand (the same epoch batching the links
-        # adopted in the round-2 fast path).
-        names = ("active_packets", "updates_seen", "updates_forwarded",
-                 "updates_received", "stores_forwarded", "stores_received",
-                 "operand_buffer_stalls", "local_operand_reads",
-                 "operand_reads_served", "remote_operand_requests",
-                 "operands_arrived", "updates_committed", "store_writes",
-                 "stores_committed", "gathers_received", "gathers_replicated",
-                 "gather_responses_merged", "gather_responses_sent")
-        pairs = []
-        for counter in names:
-            setattr(self, "_n_" + counter, 0)
-            pairs.append(("_n_" + counter, self.counter_handle(counter)))
-        self._register_batched_counters(*pairs)
+        # so every counter cell is bound here, once, as ``self._h_<stat>``.
+        for counter in ("active_packets", "updates_seen", "updates_forwarded",
+                        "updates_received", "stores_forwarded", "stores_received",
+                        "operand_buffer_stalls", "local_operand_reads",
+                        "operand_reads_served", "remote_operand_requests",
+                        "operands_arrived", "updates_committed", "store_writes",
+                        "stores_committed", "gathers_received", "gathers_replicated",
+                        "gather_responses_merged", "gather_responses_sent"):
+            setattr(self, "_h_" + counter, self.counter_handle(counter))
         # Round-trip latency samples go into PRIVATE per-engine histograms;
         # the shared "ar.update_latency.*" aggregates are folded from them in
-        # engine-construction (= cube) order at flush time.  Keeping one
+        # engine-construction (= cube) order when read.  Keeping one
         # writer per part makes the aggregate independent of the order in
         # which engines happened to record samples.
         self._hist_latency_request = Histogram()
@@ -114,7 +108,7 @@ class ActiveRoutingEngine(Component):
     # ------------------------------------------------------------------ dispatch
     def handle_packet(self, packet: Packet, from_node: int) -> None:
         """Entry point called by the cube for every active packet that arrives."""
-        self._n_active_packets += 1
+        self._h_active_packets.value += 1
         handler = self._dispatch[packet.ptype._code]
         if handler is None:
             raise RuntimeError(f"{self.name} cannot handle packet type {packet.ptype}")
@@ -131,23 +125,23 @@ class ActiveRoutingEngine(Component):
             entry = self.flow_table.get_or_create(packet.flow_id, packet.root_node,
                                                   packet.opcode, parent=from_node)
             entry.req_counter += 1
-            self._n_updates_seen += 1
+            self._h_updates_seen.value += 1
             if packet.dst != self.node_id:
                 next_hop = self._next_row[packet.dst]
                 entry.record_child(next_hop)
-                self._n_updates_forwarded += 1
+                self._h_updates_forwarded.value += 1
                 self.network.forward(packet, self.node_id)
                 return
-            self._n_updates_received += 1
+            self._h_updates_received.value += 1
             self._start_update_processing(packet, arrival=self.sim.now)
             return
 
         # Store-class Updates (mov / const_assign): no flow bookkeeping needed.
         if packet.dst != self.node_id:
-            self._n_stores_forwarded += 1
+            self._h_stores_forwarded.value += 1
             self.network.forward(packet, self.node_id)
             return
-        self._n_stores_received += 1
+        self._h_stores_received.value += 1
         self._start_store_processing(packet, arrival=self.sim.now)
 
     def _start_update_processing(self, packet: UpdatePacket, arrival: float) -> None:
@@ -159,7 +153,7 @@ class ActiveRoutingEngine(Component):
                                              packet.opcode, packet, arrival,
                                              num_operands=2)
         if entry is None:
-            self._n_operand_buffer_stalls += 1
+            self._h_operand_buffer_stalls.value += 1
             self._stalled_updates.append((packet, arrival))
             return
         self._issue_operand_fetches(entry)
@@ -170,7 +164,7 @@ class ActiveRoutingEngine(Component):
             # const_assign: write the immediate to the (local) target.
             finish = self.cube.local_access(packet.target_addr,
                                             self.config.store_write_bytes, is_write=True)
-            self._n_store_writes += 1
+            self._h_store_writes.value += 1
             self.sim.schedule_at(finish, lambda: self._commit_store(packet, arrival),
                                  label=f"{self.name}.store")
             return
@@ -179,7 +173,7 @@ class ActiveRoutingEngine(Component):
                                              packet.opcode, packet, arrival,
                                              num_operands=1)
         if entry is None:
-            self._n_operand_buffer_stalls += 1
+            self._h_operand_buffer_stalls.value += 1
             self._stalled_updates.append((packet, arrival))
             return
         entry.is_store = True
@@ -199,13 +193,13 @@ class ActiveRoutingEngine(Component):
                                                  packet.opcode, packet, arrival,
                                                  num_operands=1)
             if entry is None:
-                self._n_operand_buffer_stalls += 1
+                self._h_operand_buffer_stalls.value += 1
                 self._stalled_updates.append((packet, arrival))
                 return
             self._issue_operand_fetches(entry)
             return
         finish = self.cube.local_access(addr, self.config.operand_read_bytes, is_write=False)
-        self._n_local_operand_reads += 1
+        self._h_local_operand_reads.value += 1
         value = self.alu.combine(packet.opcode, packet.src1_value)
         # The commit event fires after the ALU latency has already elapsed, so
         # the roundtrip ends exactly at the commit time; _record_roundtrip must
@@ -232,8 +226,8 @@ class ActiveRoutingEngine(Component):
             if owner == self.node_id:
                 finish = self.cube.local_access(addr, self.config.operand_read_bytes,
                                                 is_write=False)
-                self._n_local_operand_reads += 1
-                self._n_operand_reads_served += 1
+                self._h_local_operand_reads.value += 1
+                self._h_operand_reads_served.value += 1
                 slot, op_index, op_value = entry.slot, index, value
                 self.sim.schedule_at(
                     finish,
@@ -245,7 +239,7 @@ class ActiveRoutingEngine(Component):
                     buffer_slot=entry.slot, operand_index=index,
                     compute_node=self.node_id, value=value,
                     flow_id=packet.flow_id)
-                self._n_remote_operand_requests += 1
+                self._h_remote_operand_requests.value += 1
                 self.network.inject(request, self.node_id)
         if entry.ready:
             self._commit_buffered(entry)
@@ -257,7 +251,7 @@ class ActiveRoutingEngine(Component):
             return
         finish = self.cube.local_access(packet.addr, self.config.operand_read_bytes,
                                         is_write=False)
-        self._n_operand_reads_served += 1
+        self._h_operand_reads_served.value += 1
 
         def _respond() -> None:
             response = OperandResponsePacket(
@@ -277,7 +271,7 @@ class ActiveRoutingEngine(Component):
     def _operand_arrived(self, slot: int, index: int, value: float) -> None:
         entry = self.operand_buffers.get(slot)
         entry.set_operand(index, value)
-        self._n_operands_arrived += 1
+        self._h_operands_arrived.value += 1
         if entry.ready:
             self._commit_buffered(entry)
 
@@ -296,7 +290,7 @@ class ActiveRoutingEngine(Component):
         if is_store:
             finish = self.cube.local_access(packet.target_addr,
                                             self.config.store_write_bytes, is_write=True)
-            self._n_store_writes += 1
+            self._h_store_writes.value += 1
             self.sim.schedule_at(finish,
                                  lambda: self._commit_store(packet, arrival),
                                  label=f"{self.name}.store")
@@ -325,13 +319,13 @@ class ActiveRoutingEngine(Component):
             )
         entry.result = self.alu.accumulate(packet.opcode, entry.result, value)
         entry.resp_counter += 1
-        self._n_updates_committed += 1
+        self._h_updates_committed.value += 1
         self._record_roundtrip(packet, arrival, operand_issue, response_end)
         self.host.notify_update_commit(packet.update_id)
         self._check_flow_completion(entry)
 
     def _commit_store(self, packet: UpdatePacket, arrival: float) -> None:
-        self._n_stores_committed += 1
+        self._h_stores_committed.value += 1
         # Stores commit at the write-finish event and never double-count: the
         # default response_end adds one alu_latency here, modelling the
         # engine's commit-pipeline stage (stores skip alu.combine but not the
@@ -394,7 +388,7 @@ class ActiveRoutingEngine(Component):
 
     # ----------------------------------------------------------------- gather phase
     def _handle_gather_request(self, packet: GatherRequestPacket, from_node: int) -> None:
-        self._n_gathers_received += 1
+        self._h_gathers_received.value += 1
         # Gather requests travel exactly one hop (src to a recorded child —
         # tree-routed packets are pinned to the pristine routes, so this
         # holds under fault injection too).  The requester is read from the
@@ -424,7 +418,7 @@ class ActiveRoutingEngine(Component):
                     src=self.node_id, dst=child, target_addr=target_addr,
                     num_threads=num_threads, root_node=root_node,
                     flow_id=flow_id)
-                self._n_gathers_replicated += 1
+                self._h_gathers_replicated.value += 1
                 self.network.inject(request, self.node_id)
             entry.children.clear()
         self._check_flow_completion(entry)
@@ -446,7 +440,7 @@ class ActiveRoutingEngine(Component):
         # a neighbour that is not the child that sent it (without faults the
         # two are always the same node).
         entry.pending_children.discard(packet.src)
-        self._n_gather_responses_merged += 1
+        self._h_gather_responses_merged.value += 1
         self._check_flow_completion(entry)
 
     def _check_flow_completion(self, entry: FlowTableEntry) -> None:
@@ -458,6 +452,6 @@ class ActiveRoutingEngine(Component):
             src=self.node_id, dst=entry.parent, target_addr=entry.flow_id,
             partial_result=entry.result, completed_updates=entry.resp_counter,
             root_node=entry.root, flow_id=entry.flow_id)
-        self._n_gather_responses_sent += 1
+        self._h_gather_responses_sent.value += 1
         self.flow_table.release(entry.key)
         self.network.inject(response, self.node_id)

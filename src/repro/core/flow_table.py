@@ -61,15 +61,11 @@ class FlowTable(Component):
         self.capacity = capacity
         self.entries: Dict[FlowKey, FlowTableEntry] = {}
         self._peak = 0
-        # get_or_create()/release() run once per Update hop: batch the counts
-        # and fold them in via the flush() protocol.
-        self._n_overflows = 0
-        self._n_registered = 0
-        self._n_released = 0
-        self._register_batched_counters(
-            ("_n_overflows", self.counter_handle("overflows")),
-            ("_n_registered", self.counter_handle("registered")),
-            ("_n_released", self.counter_handle("released")))
+        # get_or_create()/release() run once per Update hop: bind their
+        # counter cells up front.
+        self._h_overflows = self.counter_handle("overflows")
+        self._h_registered = self.counter_handle("registered")
+        self._h_released = self.counter_handle("released")
         self._peak_gauge_name = f"{name}.peak_occupancy"
 
     def lookup(self, flow_id: int, root: int) -> Optional[FlowTableEntry]:
@@ -82,12 +78,12 @@ class FlowTable(Component):
         entry = self.entries.get(key)
         if entry is None:
             if len(self.entries) >= self.capacity:
-                self._n_overflows += 1
+                self._h_overflows.value += 1
             entry = FlowTableEntry(flow_id=flow_id, root=root, opcode=opcode,
                                    result=opcode_spec(opcode).identity,
                                    parent=parent, created_at=self.now)
             self.entries[key] = entry
-            self._n_registered += 1
+            self._h_registered.value += 1
             if len(self.entries) > self._peak:
                 self._peak = len(self.entries)
                 self.sim.stats.set_gauge(self._peak_gauge_name, self._peak)
@@ -99,7 +95,7 @@ class FlowTable(Component):
         """Free the entry once its Gather response has been sent to the parent."""
         if key in self.entries:
             del self.entries[key]
-            self._n_released += 1
+            self._h_released.value += 1
 
     @property
     def occupancy(self) -> int:

@@ -25,7 +25,7 @@ from ..hmc.hmc_controller import HMCController
 from ..hmc.hmc_memory import HMCMemorySystem
 from ..isa import GatherOp, UpdateOp
 from ..network.packet import GatherRequestPacket, GatherResponsePacket, UpdatePacket
-from ..sim import Component, Simulator
+from ..sim import Component, CounterHandle, Simulator
 from .alu import OpClass, opcode_spec
 from .config import AREConfig
 from .engine import ActiveRoutingEngine
@@ -71,31 +71,16 @@ class ActiveRoutingHost(Component):
 
         self._update_ids = itertools.count()
         # offload_update()/notify_update_commit() run once per Update packet:
-        # count on plain accumulators drained by the flush() protocol (the
-        # per-port accumulators live in a small dict keyed by port id).
+        # their counter cells are bound here, and each per-port cell on the
+        # port's first Update (a small dict keyed by port id).
         self._h_updates_offloaded = self.counter_handle("updates_offloaded")
         self._h_updates_committed = self.counter_handle("updates_committed")
-        self._n_updates_offloaded = 0
-        self._n_updates_committed = 0
-        self._n_updates_by_port: Dict[int, int] = {}
-        sim.stats.register_flushable(self)
+        self._h_updates_by_port: Dict[int, CounterHandle] = {}
         self._update_commits: Dict[int, Callable[[], None]] = {}
         self._flows: Dict[int, _FlowState] = {}
         #: Final reduction results, kept for functional verification.
         self.flow_results: Dict[int, float] = {}
         self.flow_history: Dict[int, List[float]] = {}
-
-    def flush(self) -> None:
-        if self._n_updates_offloaded:
-            self._h_updates_offloaded.value += self._n_updates_offloaded
-            self._n_updates_offloaded = 0
-        if self._n_updates_committed:
-            self._h_updates_committed.value += self._n_updates_committed
-            self._n_updates_committed = 0
-        for port, pending in self._n_updates_by_port.items():
-            if pending:
-                self.counter_handle(f"updates_port{port}").value += pending
-                self._n_updates_by_port[port] = 0
 
     # -------------------------------------------------------------- Update offload
     def offload_update(self, core_id: int, op: UpdateOp,
@@ -126,9 +111,12 @@ class ActiveRoutingHost(Component):
             imm_value=op.imm, thread_id=core_id, root_node=root,
             update_id=update_id, issue_time=self.now,
             flow_id=op.target)
-        self._n_updates_offloaded += 1
-        by_port = self._n_updates_by_port
-        by_port[port] = by_port.get(port, 0) + 1
+        self._h_updates_offloaded.value += 1
+        port_cell = self._h_updates_by_port.get(port)
+        if port_cell is None:
+            port_cell = self._h_updates_by_port[port] = self.counter_handle(
+                f"updates_port{port}")
+        port_cell.value += 1
         controller.inject(packet)
 
     def _compute_destination(self, op: UpdateOp, root: int, op_class: OpClass,
@@ -148,7 +136,7 @@ class ActiveRoutingHost(Component):
         callback = self._update_commits.pop(update_id, None)
         if callback is None:
             raise RuntimeError(f"commit notification for unknown update {update_id}")
-        self._n_updates_committed += 1
+        self._h_updates_committed.value += 1
         callback()
 
     # -------------------------------------------------------------- Gather handling
@@ -215,6 +203,18 @@ class ActiveRoutingHost(Component):
             callback(result)
 
     # -------------------------------------------------------------- introspection
+    def describe_oldest_flows(self) -> List[str]:
+        """One line for each of the three oldest unfinished flows (``_flows``
+        keeps the order in which flows first offloaded an Update or a
+        Gather)."""
+        return [
+            f"flow 0x{state.flow_id:x} ({state.opcode or 'no updates'}): "
+            f"{state.completed_updates}/{state.updates_offloaded} updates "
+            f"completed, {state.gathers_arrived}/{state.expected_threads} "
+            f"gathers arrived, pending response ports "
+            f"{sorted(state.responses_pending)}"
+            for state in itertools.islice(self._flows.values(), 3)]
+
     @property
     def outstanding_updates(self) -> int:
         return len(self._update_commits)

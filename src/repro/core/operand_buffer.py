@@ -83,15 +83,11 @@ class OperandBufferPool(Component):
                                                  for s in range(capacity)]
         self.entries: Dict[int, OperandBufferEntry] = {}
         self._peak_used = 0
-        # reserve()/release() run once per buffered Update; batch the counts
-        # and fold them in via the flush() protocol.
-        self._n_reserve_failures = 0
-        self._n_reservations = 0
-        self._n_releases = 0
-        self._register_batched_counters(
-            ("_n_reserve_failures", self.counter_handle("reserve_failures")),
-            ("_n_reservations", self.counter_handle("reservations")),
-            ("_n_releases", self.counter_handle("releases")))
+        # reserve()/release() run once per buffered Update: bind their
+        # counter cells up front.
+        self._h_reserve_failures = self.counter_handle("reserve_failures")
+        self._h_reservations = self.counter_handle("reservations")
+        self._h_releases = self.counter_handle("releases")
         self._peak_gauge_name = f"{name}.peak_used"
 
     @property
@@ -106,13 +102,13 @@ class OperandBufferPool(Component):
                 arrival_time: float, num_operands: int) -> Optional[OperandBufferEntry]:
         """Allocate a slot, or return ``None`` when the pool is exhausted."""
         if not self._free:
-            self._n_reserve_failures += 1
+            self._h_reserve_failures.value += 1
             return None
         slot = self._free.pop()
         entry = self._slots[slot]
         entry.reset(flow_id, root, opcode, update, arrival_time, num_operands)
         self.entries[slot] = entry
-        self._n_reservations += 1
+        self._h_reservations.value += 1
         used = self.capacity - len(self._free)
         if used > self._peak_used:
             self._peak_used = used
@@ -127,4 +123,4 @@ class OperandBufferPool(Component):
             raise KeyError(f"operand buffer slot {slot} is not in use")
         del self.entries[slot]
         self._free.append(slot)
-        self._n_releases += 1
+        self._h_releases.value += 1

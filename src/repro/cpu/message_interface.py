@@ -42,13 +42,9 @@ class MessageInterface(Component):
         self.max_outstanding_updates = max_outstanding_updates
         self.outstanding_updates = 0
         self._space_waiters: List[Callable[[], None]] = []
-        # One offload/commit pair per Update: batch the counts and fold them
-        # in via the flush() protocol.
-        self._n_updates = 0
-        self._n_update_commits = 0
-        self._register_batched_counters(
-            ("_n_updates", self.counter_handle("updates")),
-            ("_n_update_commits", self.counter_handle("update_commits")))
+        # One offload/commit pair per Update: bind both counter cells up front.
+        self._h_updates = self.counter_handle("updates")
+        self._h_update_commits = self.counter_handle("update_commits")
 
     @property
     def enabled(self) -> bool:
@@ -67,12 +63,12 @@ class MessageInterface(Component):
         if not self.can_offload():
             raise RuntimeError("Message Interface window overflow; core must stall first")
         self.outstanding_updates += 1
-        self._n_updates += 1
+        self._h_updates.value += 1
         self.backend.offload_update(self.core_id, op, self._on_update_commit)
 
     def _on_update_commit(self) -> None:
         self.outstanding_updates -= 1
-        self._n_update_commits += 1
+        self._h_update_commits.value += 1
         if self._space_waiters:
             waiters, self._space_waiters = self._space_waiters, []
             for callback in waiters:

@@ -16,8 +16,8 @@ class DRAMBank(SharedResource):
     """One bank: tracks the open row and serializes accesses.
 
     ``access()`` runs once per DRAM access on the hot path, so it inlines the
-    row-state decision and the ``reserve()`` arithmetic and counts into plain
-    accumulators folded in by the ``flush()`` protocol.
+    row-state decision and the ``reserve()`` arithmetic and writes its
+    counter cells, bound at construction, directly.
     """
 
     def __init__(self, sim: Simulator, name: str, timing: DRAMTiming) -> None:
@@ -27,31 +27,22 @@ class DRAMBank(SharedResource):
         self._row_closed_cycles = timing.row_closed_cycles
         self._row_hit_cycles = timing.row_hit_cycles
         self._row_miss_cycles = timing.row_miss_cycles
-        self._n_row_closed = 0
-        self._n_row_hit = 0
-        self._n_row_miss = 0
-        self._n_accesses = 0
-        self._n_busy = 0.0
-        self._n_queue_wait = 0.0
-        self._register_batched_counters(
-            ("_n_row_closed", self.counter_handle("row_closed")),
-            ("_n_row_hit", self.counter_handle("row_hit")),
-            ("_n_row_miss", self.counter_handle("row_miss")),
-            ("_n_accesses", self.counter_handle("accesses")),
-            ("_n_busy", self._busy_cycles),
-            ("_n_queue_wait", self._queue_wait_cycles))
+        self._h_row_closed = self.counter_handle("row_closed")
+        self._h_row_hit = self.counter_handle("row_hit")
+        self._h_row_miss = self.counter_handle("row_miss")
+        self._h_accesses = self.counter_handle("accesses")
 
     def access_latency(self, row: int) -> float:
         """Service time of the next access to ``row`` given the open-row state."""
         if self.open_row is None:
             latency = self._row_closed_cycles
-            self._n_row_closed += 1
+            self._h_row_closed.value += 1
         elif self.open_row == row:
             latency = self._row_hit_cycles
-            self._n_row_hit += 1
+            self._h_row_hit.value += 1
         else:
             latency = self._row_miss_cycles
-            self._n_row_miss += 1
+            self._h_row_miss.value += 1
         return latency
 
     def access(self, row: int, earliest: Optional[float] = None) -> Tuple[float, float]:
@@ -63,13 +54,13 @@ class DRAMBank(SharedResource):
         open_row = self.open_row
         if open_row is None:
             latency = self._row_closed_cycles
-            self._n_row_closed += 1
+            self._h_row_closed.value += 1
         elif open_row == row:
             latency = self._row_hit_cycles
-            self._n_row_hit += 1
+            self._h_row_hit.value += 1
         else:
             latency = self._row_miss_cycles
-            self._n_row_miss += 1
+            self._h_row_miss.value += 1
         # Inlined SharedResource.reserve (latency is always non-negative).
         if earliest is None:
             earliest = self.sim.now
@@ -80,10 +71,10 @@ class DRAMBank(SharedResource):
         self.busy_until = finish
         wait = start - earliest
         if wait > 0:
-            self._n_queue_wait += wait
-        self._n_busy += latency
+            self._queue_wait_cycles.value += wait
+        self._busy_cycles.value += latency
         self.open_row = row
-        self._n_accesses += 1
+        self._h_accesses.value += 1
         return start, finish
 
     def precharge(self) -> None:

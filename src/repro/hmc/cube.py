@@ -44,14 +44,10 @@ class HMCCube(Component):
         self.are: Optional["ActiveRoutingEngine"] = None
         self._crossbar_latency = self.config.crossbar_latency
         # local_access()/_serve_memory_packet() run once per vault access:
-        # count on plain accumulators drained by the flush() protocol.
-        self._n_local_accesses = 0
-        self._n_served_reads = 0
-        self._n_served_writes = 0
-        self._register_batched_counters(
-            ("_n_local_accesses", self.counter_handle("local_accesses")),
-            ("_n_served_reads", self.counter_handle("served_reads")),
-            ("_n_served_writes", self.counter_handle("served_writes")))
+        # bind their counter cells up front.
+        self._h_local_accesses = self.counter_handle("local_accesses")
+        self._h_served_reads = self.counter_handle("served_reads")
+        self._h_served_writes = self.counter_handle("served_writes")
 
     # -- wiring ---------------------------------------------------------------
     def connect(self, network: "MemoryNetwork") -> None:
@@ -68,7 +64,7 @@ class HMCCube(Component):
         """Access the vault holding ``addr``; returns the completion cycle."""
         vault = self.vaults[self.mapping.vault_of(addr)]
         finish = vault.service(addr, size, is_write) + self._crossbar_latency
-        self._n_local_accesses += 1
+        self._h_local_accesses.value += 1
         return finish
 
     # -- network endpoint -----------------------------------------------------
@@ -83,7 +79,7 @@ class HMCCube(Component):
             # Inlined ActiveRoutingEngine.handle_packet: this fires for every
             # active packet that crosses the cube, and the extra frame is
             # measurable at fleet scale.
-            are._n_active_packets += 1
+            are._h_active_packets.value += 1
             handler = are._dispatch[packet.ptype._code]
             if handler is None:
                 raise RuntimeError(
@@ -107,9 +103,9 @@ class HMCCube(Component):
         requester = packet.src
         finish = self.local_access(addr, size, is_write=not is_read)
         if is_read:
-            self._n_served_reads += 1
+            self._h_served_reads.value += 1
         else:
-            self._n_served_writes += 1
+            self._h_served_writes.value += 1
 
         def _respond() -> None:
             response = MemRespPacket(src=self.node_id, dst=requester,
@@ -120,4 +116,8 @@ class HMCCube(Component):
 
     # -- statistics -----------------------------------------------------------
     def total_vault_accesses(self) -> float:
-        return sum(self.sim.stats.counter(f"{v.name}.accesses") for v in self.vaults)
+        """Accesses served by this cube's vaults (each vault's ``accesses``)."""
+        total = 0.0
+        for vault in self.vaults:
+            total += vault._h_accesses.value
+        return total

@@ -37,36 +37,15 @@ class HMCController(Component):
         self.network: Optional["MemoryNetwork"] = None
         self._outstanding: Dict[int, MemoryRequest] = {}
         self._gather_listener: Optional[GatherListener] = None
-        # access()/inject()/receive_packet() run once per miss/offload; the
-        # counts batch into plain accumulators (``requests`` is derived as
-        # reads + writes at flush time) and the round-trip histogram is bound
-        # once instead of re-resolved per response.
+        # access()/inject()/receive_packet() run once per miss/offload; their
+        # counter cells and the round-trip histogram are bound once instead
+        # of re-resolved per request.
         self._h_requests = self.counter_handle("requests")
         self._h_reads = self.counter_handle("reads")
         self._h_writes = self.counter_handle("writes")
         self._h_active_injected = self.counter_handle("active_injected")
         self._h_responses = self.counter_handle("responses")
-        self._n_reads = 0
-        self._n_writes = 0
-        self._n_active_injected = 0
-        self._n_responses = 0
         self._hist_roundtrip = sim.stats.histogram(f"{self.name}.roundtrip")
-        sim.stats.register_flushable(self)
-
-    def flush(self) -> None:
-        reads, writes = self._n_reads, self._n_writes
-        if reads or writes:
-            self._h_requests.value += reads + writes
-            self._h_reads.value += reads
-            self._h_writes.value += writes
-            self._n_reads = 0
-            self._n_writes = 0
-        if self._n_active_injected:
-            self._h_active_injected.value += self._n_active_injected
-            self._n_active_injected = 0
-        if self._n_responses:
-            self._h_responses.value += self._n_responses
-            self._n_responses = 0
 
     # -- wiring ---------------------------------------------------------------
     def connect(self, network: "MemoryNetwork") -> None:
@@ -86,11 +65,12 @@ class HMCController(Component):
         if request.is_write:
             packet: Packet = MemWritePacket(src=self.node_id, dst=dst_cube,
                                             addr=request.addr, req_id=request.req_id)
-            self._n_writes += 1
+            self._h_writes.value += 1
         else:
             packet = MemReadPacket(src=self.node_id, dst=dst_cube,
                                    addr=request.addr, req_id=request.req_id)
-            self._n_reads += 1
+            self._h_reads.value += 1
+        self._h_requests.value += 1
         self._outstanding[request.req_id] = request
         self.sim.schedule(self.config.controller_latency,
                           lambda: self.network.inject(packet, self.node_id),
@@ -100,7 +80,7 @@ class HMCController(Component):
     def inject(self, packet: Packet) -> None:
         """Inject an already-built (active) packet after the controller latency."""
         assert self.network is not None, "controller is not connected to a network"
-        self._n_active_injected += 1
+        self._h_active_injected.value += 1
         self.sim.schedule(self.config.controller_latency,
                           lambda: self.network.inject(packet, self.node_id),
                           label=f"{self.name}.inject_active")
@@ -124,6 +104,6 @@ class HMCController(Component):
         request = self._outstanding.pop(req_id, None)
         if request is None:
             raise RuntimeError(f"{self.name} got a response for unknown request {req_id}")
-        self._n_responses += 1
+        self._h_responses.value += 1
         self._hist_roundtrip.add(self.now - request.issue_time)
         request.complete(self.now)

@@ -27,46 +27,21 @@ class VaultController(Component):
         self.tsv = SharedResource(sim, f"{self.name}.tsv")
         self._banks: Dict[int, DRAMBank] = {}
         # service() runs once per vault access: hoist the address-decode
-        # strides (same math as HMCAddressMapping.bank_of/row_of), batch the
-        # counters (accesses and energy are derived at flush time), and inline
-        # the TSV reservation with the busy/wait cycles batched alongside.
+        # strides (same math as HMCAddressMapping.bank_of/row_of), bind the
+        # counter cells, and inline the TSV reservation.  Energy per byte is
+        # exact (8 x the per-bit cost).
         self._bank_stride = mapping.block_size * mapping.num_vaults
         self._banks_per_vault = mapping.banks_per_vault
         self._row_stride = self._bank_stride * mapping.banks_per_vault
         self._blocks_per_row = mapping.row_size // mapping.block_size
         self._bytes_per_cycle = config.vault_bytes_per_cycle
         self._controller_latency = config.vault_controller_latency
-        self._energy_pj_per_bit = config.energy_pj_per_bit
+        self._energy_pj_per_byte = 8 * config.energy_pj_per_bit
         self._h_accesses = self.counter_handle("accesses")
         self._h_reads = self.counter_handle("reads")
         self._h_writes = self.counter_handle("writes")
         self._h_bytes = self.counter_handle("bytes")
         self._h_energy_pj = self.counter_handle("energy_pj")
-        self._n_reads = 0
-        self._n_writes = 0
-        self._n_bytes = 0
-        self._n_tsv_busy = 0.0
-        self._n_tsv_wait = 0.0
-        sim.stats.register_flushable(self)
-
-    def flush(self) -> None:
-        reads, writes = self._n_reads, self._n_writes
-        if reads or writes:
-            self._h_accesses.value += reads + writes
-            self._h_reads.value += reads
-            self._h_writes.value += writes
-            pending_bytes = self._n_bytes
-            self._h_bytes.value += pending_bytes
-            self._h_energy_pj.value += pending_bytes * 8 * self._energy_pj_per_bit
-            self._n_reads = 0
-            self._n_writes = 0
-            self._n_bytes = 0
-        if self._n_tsv_busy:
-            self.tsv._busy_cycles.value += self._n_tsv_busy
-            self._n_tsv_busy = 0.0
-        if self._n_tsv_wait:
-            self.tsv._queue_wait_cycles.value += self._n_tsv_wait
-            self._n_tsv_wait = 0.0
 
     def _bank(self, index: int) -> DRAMBank:
         bank = self._banks.get(index)
@@ -94,13 +69,15 @@ class VaultController(Component):
         tsv.busy_until = tsv_finish
         wait = start - bank_finish
         if wait > 0:
-            self._n_tsv_wait += wait
-        self._n_tsv_busy += occupancy
+            tsv._queue_wait_cycles.value += wait
+        tsv._busy_cycles.value += occupancy
         if is_write:
-            self._n_writes += 1
+            self._h_writes.value += 1
         else:
-            self._n_reads += 1
-        self._n_bytes += size
+            self._h_reads.value += 1
+        self._h_accesses.value += 1
+        self._h_bytes.value += size
+        self._h_energy_pj.value += size * self._energy_pj_per_byte
         return tsv_finish
 
     @property

@@ -59,65 +59,29 @@ class Link(SharedResource):
         self._park_blocked: list = []
         # transmit() runs once per hop; hoist the config scalars and bind every
         # counter up front so the hot path is pure arithmetic + cell updates.
+        # Energy per byte is exact (8 x the per-bit cost), so per-hop energy
+        # sums stay exact integers at the default costs.
         self._bandwidth = self.config.bandwidth_bytes_per_cycle
         self._latency = self.config.latency_cycles
-        self._energy_pj_per_bit = self.config.energy_pj_per_bit
+        self._energy_pj_per_byte = 8 * self.config.energy_pj_per_bit
         self._h_packets = self.counter_handle("packets")
         self._h_bytes = self.counter_handle("bytes")
         self._h_energy_pj = self.counter_handle("energy_pj")
-        self._h_bytes_by_category = {
-            category: self.counter_handle(f"bytes.{category}")
-            for category in MOVEMENT_CATEGORIES
-        }
-        # Per-hop statistics are epoch-batched: the hot path bumps one packed
-        # accumulator list (slots 0-3: per-category bytes by Packet._cat_index,
-        # slot 4: packets, slot 5: busy cycles, slot 6: queue-wait cycles) and
-        # flush() folds it into the bound cells whenever a registry reader
-        # asks.  Bytes, energy and packet totals are all derived from the
-        # per-category slots at flush time (energy is linear in bytes).  One
-        # list is one attribute load per hop; separate attributes would cost a
-        # dict-backed load/store pair each.
-        self._acc = [0, 0, 0, 0, 0, 0.0, 0.0]
-        self._cat_handles = [self._h_bytes_by_category[c] for c in MOVEMENT_CATEGORIES]
-        sim.stats.register_flushable(self)
-
-    def flush(self) -> None:
-        """Fold the batched per-hop accumulators into the counter cells."""
-        acc = self._acc
-        packets = acc[4]
-        if packets:
-            total = acc[0] + acc[1] + acc[2] + acc[3]
-            self._h_packets.value += packets
-            self._h_bytes.value += total
-            self._h_energy_pj.value += total * 8 * self._energy_pj_per_bit
-            handles = self._cat_handles
-            for index in range(4):
-                if acc[index]:
-                    handles[index].value += acc[index]
-                    acc[index] = 0
-            acc[4] = 0
-        if acc[5]:
-            self._busy_cycles.value += acc[5]
-            acc[5] = 0.0
-        if acc[6]:
-            self._queue_wait_cycles.value += acc[6]
-            acc[6] = 0.0
+        #: Per-category byte cells, indexed by ``Packet._cat_index``.
+        self._cat_handles = [self.counter_handle(f"bytes.{category}")
+                             for category in MOVEMENT_CATEGORIES]
 
     # -- aggregation-friendly readers ----------------------------------------
     # Network-wide aggregations (off-chip traffic, per-node load) read these
-    # instead of the string-keyed registry API: folding this one link's
-    # accumulators and reading its bound cells avoids a full registry flush
-    # per counter lookup (links x categories of them per aggregation).
+    # cells directly instead of resolving dotted names in the registry.
     def total_bytes(self) -> float:
         """Bytes that crossed this link so far."""
-        self.flush()
         return self._h_bytes.value
 
     def bytes_by_category(self) -> Dict[str, float]:
         """Bytes that crossed this link, keyed by movement category."""
-        self.flush()
-        return {category: self._h_bytes_by_category[category].value
-                for category in MOVEMENT_CATEGORIES}
+        return {category: handle.value
+                for category, handle in zip(MOVEMENT_CATEGORIES, self._cat_handles)}
 
     def transmit(self, packet: Packet, earliest: float | None = None) -> Tuple[float, float]:
         """Send ``packet`` over the link.
@@ -136,10 +100,11 @@ class Link(SharedResource):
         finish = start + serialization
         self.busy_until = finish
         queue_delay = start - earliest
-        acc = self._acc
         if queue_delay > 0:
-            acc[6] += queue_delay
-        acc[5] += serialization
-        acc[4] += 1
-        acc[packet._cat_index] += size
+            self._queue_wait_cycles.value += queue_delay
+        self._busy_cycles.value += serialization
+        self._h_packets.value += 1
+        self._h_bytes.value += size
+        self._cat_handles[packet._cat_index].value += size
+        self._h_energy_pj.value += size * self._energy_pj_per_byte
         return finish + self._latency, queue_delay

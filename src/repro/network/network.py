@@ -57,9 +57,8 @@ class MemoryNetwork(Component):
         self._endpoint_list: List[Optional[NetworkEndpoint]] = [None] * num_nodes
         # Dense per-node columns for the aggregation paths: a bytearray mask
         # of controller-attached nodes and flat link lists in the exact
-        # insertion order of ``self.links`` (the per-category float sums in
-        # offchip_bytes()/link_load_by_node() must visit links in the same
-        # order as the old dict walks to stay bit-identical).
+        # insertion order of ``self.links`` (every network-wide float sum
+        # visits links in this one order).
         self._is_controller_node = bytearray(num_nodes)
         for node in topology.controller_nodes:
             self._is_controller_node[node] = 1
@@ -67,27 +66,25 @@ class MemoryNetwork(Component):
         self._offchip_links: List[Link] = [
             link for link in self._link_list
             if self._is_controller_node[link.src] or self._is_controller_node[link.dst]]
-        # _hop() runs once per network hop: pre-bind every counter it touches
-        # and keep a direct reference to the dense next-hop matrix.  The
-        # delivery push goes straight onto the simulator's aliased heap list.
+        # _hop() runs once per network hop and writes only its link's cells;
+        # keep a direct reference to the dense next-hop matrix.  The delivery
+        # push goes straight onto the simulator's aliased heap list.
         self._event_heap = sim._heap
         self._next_rows = self.routing.next_hop_table
         self._h_injected = self.counter_handle("injected")
-        self._h_hops = self.counter_handle("hops")
-        self._h_bytes = self.counter_handle("bytes")
-        self._h_bit_hops = self.counter_handle("bit_hops")
-        self._h_queue_delay = self.counter_handle("queue_delay_cycles")
-        self._h_bytes_by_category = {
-            category: self.counter_handle(f"bytes.{category}")
-            for category in MOVEMENT_CATEGORIES
-        }
-        # Network-wide per-hop stats are epoch-batched like the per-link ones,
-        # in the same packed layout (slots 0-3: per-category bytes by
-        # Packet._cat_index, slot 4: hops, slot 5: injected, slot 6: queue
-        # delay); flush() derives the byte, bit-hop and per-category totals
-        # from the category slots on demand.
-        self._acc = [0, 0, 0, 0, 0, 0, 0.0]
-        self._cat_handles = [self._h_bytes_by_category[c] for c in MOVEMENT_CATEGORIES]
+        # The network-wide traffic totals are folds over the per-link cells,
+        # in ``self.links`` insertion order, computed when they are read.
+        links = self._link_list
+        fold = sim.stats.folded_counter
+        link_bytes = [link._h_bytes for link in links]
+        fold(f"{self.name}.hops", [link._h_packets for link in links])
+        fold(f"{self.name}.bytes", link_bytes)
+        fold(f"{self.name}.bit_hops", link_bytes, scale=8)
+        fold(f"{self.name}.queue_delay_cycles",
+             [link._queue_wait_cycles for link in links])
+        for index, category in enumerate(MOVEMENT_CATEGORIES):
+            fold(f"{self.name}.bytes.{category}",
+                 [link._cat_handles[index] for link in links])
         # Fault machinery.  The default configuration never pays for it: the
         # network starts on the original _hop() fast path and only swaps in
         # the fault-aware variant when a link actually changes state (or the
@@ -100,34 +97,6 @@ class MemoryNetwork(Component):
         self.routing.bind(self)
         if not self.routing.uses_dense_next_hop:
             self._enable_fault_mode()
-        sim.stats.register_flushable(self)
-
-    def flush(self) -> None:
-        """Fold the batched per-hop accumulators into the counter cells."""
-        acc = self._acc
-        if acc[5]:
-            self._h_injected.value += acc[5]
-            acc[5] = 0
-        hops = acc[4]
-        if hops:
-            total = acc[0] + acc[1] + acc[2] + acc[3]
-            self._h_hops.value += hops
-            self._h_bytes.value += total
-            self._h_bit_hops.value += total * 8
-            handles = self._cat_handles
-            for index in range(4):
-                if acc[index]:
-                    handles[index].value += acc[index]
-                    acc[index] = 0
-            acc[4] = 0
-        # The network-wide queue-delay counter is *derived*: a fold over the
-        # per-link cells in ``self.links`` insertion order (links register as
-        # flushables before the network, so their cells are already folded by
-        # the time a registry-wide flush reaches this one).
-        total_delay = 0.0
-        for link in self._link_list:
-            total_delay += link._queue_wait_cycles.value
-        self._h_queue_delay.value = total_delay
 
     # -- construction ---------------------------------------------------------
     def register_endpoint(self, node_id: int, endpoint: NetworkEndpoint) -> None:
@@ -162,7 +131,7 @@ class MemoryNetwork(Component):
             # First time this packet enters the fabric; intermediate cubes that
             # re-inject it must not re-stamp (0.0 is a legitimate creation time).
             packet.created_at = self.sim.now
-        self._acc[5] += 1
+        self._h_injected.value += 1
         if packet.dst == at_node:
             # Local delivery (e.g. operand request for data in the same cube).
             self.schedule(0.0, lambda: self._deliver(packet, at_node, at_node))
@@ -179,9 +148,8 @@ class MemoryNetwork(Component):
         nxt = self._next_rows[current][packet.dst]
         link = self._link_grid[current][nxt]
         # Inlined Link.transmit(): one hop is the innermost simulator loop and
-        # the extra call frame + result tuple are measurable.  Stats go into
-        # the link's and the network's epoch-batched accumulators, in the
-        # exact order transmit() feeds them.
+        # the extra call frame + result tuple are measurable.  The hop writes
+        # its link's cells exactly as transmit() does.
         size = packet.size
         serialization = size / link._bandwidth
         now = self.sim.now
@@ -191,16 +159,13 @@ class MemoryNetwork(Component):
         finish = start + serialization
         link.busy_until = finish
         queue_delay = start - now
-        link_acc = link._acc
-        net_acc = self._acc
         if queue_delay > 0:
-            link_acc[6] += queue_delay
-        link_acc[5] += serialization
-        link_acc[4] += 1
-        cat_index = packet._cat_index
-        link_acc[cat_index] += size
-        net_acc[4] += 1
-        net_acc[cat_index] += size
+            link._queue_wait_cycles.value += queue_delay
+        link._busy_cycles.value += serialization
+        link._h_packets.value += 1
+        link._h_bytes.value += size
+        link._cat_handles[packet._cat_index].value += size
+        link._h_energy_pj.value += size * link._energy_pj_per_byte
         # The delivery is scheduled as a direct bound receive_packet() call:
         # the _deliver() wrapper frame is measurable at one call per hop, so
         # its two jobs move here — the endpoint is resolved at hop time
@@ -288,8 +253,6 @@ class MemoryNetwork(Component):
     def _enable_fault_mode(self) -> None:
         if not self._fault_mode:
             self._fault_mode = True
-            # Drops are rare events: they bump this bound cell directly
-            # instead of joining the epoch-batched accumulators.
             self._h_dropped = self.counter_handle("dropped")
             # Shadow the class method on the instance: inject()/forward()
             # look _hop up through self, so every later hop takes the
@@ -351,16 +314,13 @@ class MemoryNetwork(Component):
         finish = start + serialization
         link.busy_until = finish
         queue_delay = start - now
-        link_acc = link._acc
-        net_acc = self._acc
         if queue_delay > 0:
-            link_acc[6] += queue_delay
-        link_acc[5] += serialization
-        link_acc[4] += 1
-        cat_index = packet._cat_index
-        link_acc[cat_index] += size
-        net_acc[4] += 1
-        net_acc[cat_index] += size
+            link._queue_wait_cycles.value += queue_delay
+        link._busy_cycles.value += serialization
+        link._h_packets.value += 1
+        link._h_bytes.value += size
+        link._cat_handles[packet._cat_index].value += size
+        link._h_energy_pj.value += size * link._energy_pj_per_byte
         packet.hops += 1
         callback = lambda: self._arrive_flex(packet, link, current, nxt)  # noqa: E731
         arrival = finish + link._latency + self.router_delay
@@ -424,12 +384,9 @@ class MemoryNetwork(Component):
         traffic of Figure 5.4, as opposed to traffic staying inside the memory
         network (operand fetches between cubes, tree reductions, ...).
 
-        Reads go through each link's own flushed counter cells: the
-        string-keyed registry path would trigger a full flush of *every*
-        epoch-batched component per lookup, links x categories times per call.
-        The controller-adjacent links were precomputed at construction from
-        the dense controller-node mask, in ``self.links`` insertion order so
-        the float sums match the old dict walk bit for bit.
+        Reads go through each link's own counter cells.  The
+        controller-adjacent links were precomputed at construction from the
+        dense controller-node mask, in ``self.links`` insertion order.
         """
         totals = {cat: 0.0 for cat in MOVEMENT_CATEGORIES}
         for link in self._offchip_links:

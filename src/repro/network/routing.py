@@ -350,7 +350,7 @@ class AdaptiveRouting(ResilientRoutingTable):
     whose outgoing link has the least serialization backlog wins; equal
     backlogs are broken by ascending neighbour id.  Backlog is read from the
     link's ``busy_until`` reservation — the same deterministic quantity the
-    flushed queue-delay counters are derived from — so two runs of the same
+    queue-delay counters are derived from — so two runs of the same
     workload pick identical hops.
 
     Restricting candidates to shortest-path neighbours keeps forwarding

@@ -53,32 +53,6 @@ class Component:
         """Read back a counter previously written by :meth:`count`."""
         return self.sim.stats.counter(f"{self.name}.{stat}")
 
-    #: ``(accumulator attribute, bound handle)`` pairs folded by the generic
-    #: :meth:`flush`; set through :meth:`_register_batched_counters`.
-    _batched_counters: tuple = ()
-
-    def flush(self) -> None:
-        """Fold any locally-batched stat accumulators into the registry.
-
-        The generic implementation drains the plain integer accumulators
-        declared via :meth:`_register_batched_counters`; components with
-        derived stats (e.g. energy computed from batched bytes) override this
-        entirely.  Either way the component must be registered with
-        :meth:`~repro.sim.stats.StatsRegistry.register_flushable` so every
-        registry reader sees up-to-date values.
-        """
-        for attr, handle in self._batched_counters:
-            pending = getattr(self, attr)
-            if pending:
-                handle.value += pending
-                setattr(self, attr, 0)
-
-    def _register_batched_counters(self, *pairs) -> None:
-        """Declare epoch-batched counters: each ``(attr, handle)`` pair names a
-        plain integer accumulator on ``self`` and the registry cell it feeds."""
-        self._batched_counters = pairs
-        self.sim.stats.register_flushable(self)
-
     # -- time shortcuts -------------------------------------------------------
     @property
     def now(self) -> float:
@@ -133,5 +107,4 @@ class SharedResource(Component):
         elapsed = self.now if elapsed is None else elapsed
         if elapsed <= 0:
             return 0.0
-        self.flush()  # subclasses may batch busy_cycles locally
         return min(1.0, self._busy_cycles.value / elapsed)

@@ -5,29 +5,21 @@ and histograms with summary statistics.  Components register their stats under a
 dotted name (``"network.link.cube3->cube7.bytes"``) so the experiment harness can
 aggregate by prefix.
 
-Counters have two access paths:
-
-* the string-keyed slow path (:meth:`StatsRegistry.add`) used by cold code and
-  by anything that only increments occasionally, and
-* bound :class:`CounterHandle` cells (:meth:`StatsRegistry.counter_handle`)
-  resolved once at component construction, gem5-style, so hot loops increment
-  a plain attribute instead of hashing a dotted string per event.
-
-Both paths are transparently visible to every reader (``counter()``,
-``counters()``, ``sum()``, ``snapshot()``, ``merge()``).
-
-Components that batch their hottest counters in plain local accumulators
-(epoch-batched stats, e.g. :class:`~repro.network.link.Link`) register
-themselves with :meth:`StatsRegistry.register_flushable`; every reader calls
-:meth:`StatsRegistry.flush` first, which folds the pending accumulators into
-the bound cells, so batching is invisible to the string API.
+Every counter has exactly one store, a :class:`CounterHandle` cell.  Hot code
+resolves its cells once at construction (gem5-style) and writes each count into
+its cell at the moment it happens; :meth:`StatsRegistry.add` writes the same
+cell by name.  The only values computed at read time are true folds — a
+:class:`FoldedCounter` (a sum over other cells in a fixed order) and a
+:class:`FoldedHistogram` (per-writer parts merged in a fixed order) — and each
+is computed when that name itself is read.  Reading therefore never runs
+another component's code and never changes a value: a run that reads its
+statistics mid-flight ends with the same statistics as one that does not.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -39,7 +31,7 @@ DEFAULT_HISTOGRAM_SAMPLES = 65_536
 DEFAULT_RESERVOIR_SEED = 0x5EED
 
 class CounterHandle:
-    """A mutable counter cell bound to one registry name.
+    """The one mutable store of a counter, bound to one registry name.
 
     Hot code increments ``handle.value`` directly; the owning registry reads
     the cell back whenever the counter is queried by name.
@@ -56,6 +48,30 @@ class CounterHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CounterHandle {self.name}={self.value}>"
+
+
+class FoldedCounter:
+    """A read-only counter: the sum of other counter cells times ``scale``.
+
+    The sum is an explicit left-to-right loop over ``cells`` in list order
+    (not ``sum()``, which compensates float sums on newer Pythons), computed
+    each time the counter is read and never stored.
+    """
+
+    __slots__ = ("name", "cells", "scale")
+
+    def __init__(self, name: str, cells: List[CounterHandle],
+                 scale: float = 1.0) -> None:
+        self.name = name
+        self.cells = cells
+        self.scale = scale
+
+    @property
+    def value(self) -> float:
+        total = 0.0
+        for cell in self.cells:
+            total += cell.value
+        return total * self.scale
 
 
 @dataclass
@@ -201,10 +217,12 @@ class FoldedHistogram(Histogram):
     """A histogram re-derived from per-writer part histograms.
 
     Multiple hot writers (one Active-Routing engine per cube) each own a
-    private :class:`Histogram` and the registry-visible aggregate is folded
-    from those parts in attach order on every :meth:`flush`.  Folding in a
-    fixed part order makes the aggregate's float fields (``total`` above all)
-    independent of how the writers' observations interleaved in time.
+    private :class:`Histogram`, and the registry-visible aggregate is folded
+    from those parts in attach order whenever a registry reader resolves it.
+    Folding in a fixed part order makes the aggregate's float fields
+    (``total`` above all) independent of how the writers' observations
+    interleaved in time, and a refold of unchanged parts yields the same
+    fields, so reading it never changes it.
 
     The folded object must never be fed through :meth:`Histogram.add`; it is
     rebuilt wholesale from its parts.
@@ -219,7 +237,7 @@ class FoldedHistogram(Histogram):
         order and must be deterministic (components attach at construction)."""
         self.parts.append(part)
 
-    def flush(self) -> None:
+    def refresh(self) -> None:
         """Re-derive the aggregate fields from the parts, in attach order."""
         count = 0
         total = 0.0
@@ -249,91 +267,76 @@ class FoldedHistogram(Histogram):
         super().reset()
 
 
+def _fresh(hist: Histogram) -> Histogram:
+    """``hist`` as a reader must see it: folded histograms refold first."""
+    if type(hist) is FoldedHistogram:
+        hist.refresh()
+    return hist
+
+
 class StatsRegistry:
     """A flat namespace of counters, gauges and histograms."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, float] = defaultdict(float)
-        self._handles: Dict[str, CounterHandle] = {}
+        #: One entry per counter name, in registration order: a writable
+        #: :class:`CounterHandle` or a read-only :class:`FoldedCounter`.
+        self._handles: Dict[str, CounterHandle | FoldedCounter] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._flushables: List[object] = []
-        self._flushable_ids: set = set()
-
-    # -- epoch-batched sources ----------------------------------------------
-    def register_flushable(self, source: object) -> None:
-        """Register a component whose ``flush()`` folds locally-batched stat
-        accumulators into the registry.  Every reader flushes first, so batched
-        counters stay observationally identical to per-event increments.
-
-        Membership is tracked by identity in a side set: hundreds of lazily
-        created components (e.g. DRAM banks) register here, and a linear
-        ``in`` scan per registration would be quadratic."""
-        if id(source) not in self._flushable_ids:
-            self._flushable_ids.add(id(source))
-            self._flushables.append(source)
-
-    def flush(self) -> None:
-        """Fold every registered component's pending accumulators in."""
-        for source in self._flushables:
-            source.flush()
 
     # -- counters -----------------------------------------------------------
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment counter ``name`` by ``amount``."""
-        handle = self._handles.get(name)
-        if handle is not None:
-            handle.value += amount
-        else:
-            self._counters[name] += amount
+        self.counter_handle(name).value += amount
 
     def counter_handle(self, name: str) -> CounterHandle:
-        """Return the bound counter cell for ``name``, creating it on first use.
-
-        Any value already accumulated through the string-keyed path migrates
-        into the cell, so there is exactly one storage location per name.
-        """
+        """Return the counter cell for ``name``, creating it on first use."""
         handle = self._handles.get(name)
         if handle is None:
-            handle = CounterHandle(name, self._counters.pop(name, 0.0))
+            handle = CounterHandle(name)
             self._handles[name] = handle
+        elif type(handle) is not CounterHandle:
+            raise ValueError(f"counter {name!r} is a fold and cannot be written")
         return handle
 
+    def folded_counter(self, name: str, cells: List[CounterHandle],
+                       scale: float = 1.0) -> None:
+        """Register ``name`` as the sum of ``cells`` (in list order) times
+        ``scale``, computed each time ``name`` is read."""
+        if name in self._handles:
+            raise ValueError(f"counter {name!r} already exists")
+        self._handles[name] = FoldedCounter(name, cells, scale)
+
     def counter(self, name: str) -> float:
-        if self._flushables:
-            self.flush()
         handle = self._handles.get(name)
-        if handle is not None:
-            return handle.value
-        return self._counters.get(name, 0.0)
+        return 0.0 if handle is None else handle.value
 
-    def _iter_counters(self) -> Iterator[Tuple[str, float]]:
-        """Every counter (slow-path and bound-handle) as ``(name, value)``.
+    def _iter_counters(self, prefix: str = "") -> Iterator[Tuple[str, float]]:
+        """Every counter under ``prefix`` as ``(name, value)``.
 
-        Bound cells whose accumulated total is 0.0 are skipped, so pre-binding
-        a handle at construction does not make the counter visible to readers
-        (``counters()``/``sum()``/``snapshot()``) before it counts anything.
-        Known corner: a counter fed *only* zero-amount increments is visible
-        through the string-keyed path (the dict materializes the key) but not
-        through a handle; a zero total is treated as "never counted", which is
-        the meaningful reading for monotonic counters.
+        Counters whose value is 0.0 are skipped, so pre-binding a cell at
+        construction (or registering a fold) does not make the counter visible
+        to readers before it counts anything: a zero total reads as "never
+        counted", the meaningful reading for monotonic counters.  A fold is
+        computed only when its name matches ``prefix``.
         """
-        yield from self._counters.items()
         for name, handle in self._handles.items():
-            if handle.value != 0.0:
-                yield name, handle.value
+            if name.startswith(prefix):
+                value = handle.value
+                if value != 0.0:
+                    yield name, value
 
     def counters(self, prefix: str = "") -> Dict[str, float]:
         """Return all counters whose name starts with ``prefix``."""
-        if self._flushables:
-            self.flush()
-        return {k: v for k, v in self._iter_counters() if k.startswith(prefix)}
+        return dict(self._iter_counters(prefix))
 
     def sum(self, prefix: str) -> float:
-        """Sum every counter whose name starts with ``prefix``."""
-        if self._flushables:
-            self.flush()
-        return sum(v for k, v in self._iter_counters() if k.startswith(prefix))
+        """Sum every counter whose name starts with ``prefix``, in
+        registration order."""
+        total = 0.0
+        for _, value in self._iter_counters(prefix):
+            total += value
+        return total
 
     # -- gauges -------------------------------------------------------------
     def set_gauge(self, name: str, value: float) -> None:
@@ -358,57 +361,29 @@ class StatsRegistry:
         if hist is None:
             hist = Histogram()
             self._histograms[name] = hist
-        elif self._flushables:
-            # Folded histograms re-derive their aggregate fields on flush;
-            # readers resolving an existing histogram by name must see the
-            # folded state, exactly like counter readers see batched cells.
-            self.flush()
-        return hist
+        return _fresh(hist)
 
     def folded_histogram(self, name: str) -> FoldedHistogram:
         """Return the :class:`FoldedHistogram` registered under ``name``,
-        creating (and registering it as a flushable) on first use."""
+        creating it on first use."""
         hist = self._histograms.get(name)
         if hist is None:
             hist = FoldedHistogram()
             self._histograms[name] = hist
-            self.register_flushable(hist)
         elif not isinstance(hist, FoldedHistogram):
             raise ValueError(f"histogram {name!r} already exists and is not folded")
         return hist
 
     def histograms(self, prefix: str = "") -> Dict[str, Histogram]:
-        if self._flushables:
-            self.flush()
-        return {k: v for k, v in self._histograms.items() if k.startswith(prefix)}
+        return {k: _fresh(v) for k, v in self._histograms.items() if k.startswith(prefix)}
 
     # -- bulk helpers ---------------------------------------------------------
-    def merge(self, other: "StatsRegistry") -> None:
-        """Fold another registry into this one (used to combine per-run stats)."""
-        if self._flushables:
-            self.flush()
-        if other._flushables:
-            other.flush()
-        for name, value in other._iter_counters():
-            self.add(name, value)
-        for name, value in other._gauges.items():
-            self._gauges[name] = value
-        for name, hist in other._histograms.items():
-            if isinstance(hist, FoldedHistogram):
-                # Folded aggregates are re-derived from their parts; merging
-                # the fold itself would double-count once the receiving side's
-                # parts are updated; callers combining folded state merge the
-                # parts explicitly.
-                continue
-            self.histogram(name).merge(hist)
-
     def snapshot(self) -> Dict[str, float]:
         """Flatten everything into a single scalar mapping (histograms -> mean)."""
-        if self._flushables:
-            self.flush()
         flat: Dict[str, float] = dict(self._iter_counters())
         flat.update(self._gauges)
         for name, hist in self._histograms.items():
+            hist = _fresh(hist)
             if hist.count == 0:
                 # Pre-bound but never-sampled histograms stay invisible, like
                 # never-incremented counter handles.
@@ -421,15 +396,11 @@ class StatsRegistry:
         return iter(self.snapshot().items())
 
     def clear(self) -> None:
-        # Flush first so batching components' accumulators restart from zero
-        # along with the cells they feed.
-        if self._flushables:
-            self.flush()
-        self._counters.clear()
-        # Bound cells stay registered (components hold references to them) but
-        # restart from zero, matching the string-keyed counters.
+        # Cells stay registered (components hold references to them) but
+        # restart from zero; folds follow their cells.
         for handle in self._handles.values():
-            handle.value = 0.0
+            if type(handle) is CounterHandle:
+                handle.value = 0.0
         self._gauges.clear()
         # Histograms are likewise reset in place rather than dropped, so a
         # component-bound Histogram and the registry never diverge into two

@@ -211,9 +211,10 @@ def _collect_request_stats(system: BuiltSystem, cycles: float,
         "throughput": merged.count * 1000.0 / cycles if cycles else 0.0,
     }
     # For Active-Routing configs the client-side sample excludes the network
-    # round trip; surface the engine-side tail alongside it.
-    roundtrip = stats._histograms.get("ar.update_latency.total")
-    if roundtrip is not None and roundtrip.count:
+    # round trip; surface the engine-side tail alongside it.  The public
+    # accessor folds the per-engine parts before the read.
+    roundtrip = stats.histogram("ar.update_latency.total")
+    if roundtrip.count:
         out["update_p99"] = roundtrip.percentile(0.99)
         out["update_p999"] = roundtrip.percentile(0.999)
     out.update(_tenant_fairness(core_hists, cycles, metadata))
@@ -224,21 +225,18 @@ def _collect_per_cube(system: BuiltSystem,
                       counters: Dict[str, float]) -> Dict[str, Dict[int, float]]:
     if not system.config.kind.uses_hmc:
         return {}
-    num_cubes = system.memory.mapping.num_cubes  # type: ignore[union-attr]
     metrics = {
         "updates_received": "are{n}.updates_received",
         "operand_buffer_stalls": "are{n}.operand_buffer_stalls",
         "operand_reads_served": "are{n}.operand_reads_served",
-        "vault_accesses": None,  # handled specially below
     }
     per_cube: Dict[str, Dict[int, float]] = {k: {} for k in metrics}
-    for cube_id in range(num_cubes):
+    per_cube["vault_accesses"] = {}
+    for cube in system.memory.cubes:  # type: ignore[union-attr]
+        cube_id = cube.node_id
         for key, pattern in metrics.items():
-            if pattern is not None:
-                per_cube[key][cube_id] = counters.get(pattern.format(n=cube_id), 0.0)
-        prefix = f"hmc.cube{cube_id}.vault"
-        per_cube["vault_accesses"][cube_id] = sum(
-            v for k, v in counters.items() if k.startswith(prefix))
+            per_cube[key][cube_id] = counters.get(pattern.format(n=cube_id), 0.0)
+        per_cube["vault_accesses"][cube_id] = cube.total_vault_accesses()
     return per_cube
 
 
@@ -265,9 +263,7 @@ def collect_results(system: BuiltSystem, program: ProgramTrace) -> RunResult:
     cycles = system.cmp.finish_time() or sim.now
     energy = EnergyModel(sim.stats).breakdown(cycles, cpu_freq_ghz=system.config.cpu_freq_ghz)
     # One registry read up front: every per-name lookup below goes through
-    # this dict instead of stats.counter(), whose reader contract flushes
-    # every epoch-batched component per call (dozens of full-registry flushes
-    # per collection otherwise, measurable on the biggest runs).
+    # this dict instead of resolving names one at a time.
     counters = sim.stats.counters()
     cache_stats = {
         "l1_hit_rate": system.cmp.hierarchy.l1_hit_rate(),

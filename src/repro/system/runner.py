@@ -56,7 +56,8 @@ def run_program(config: Union[SystemConfig, SystemKind, str], program: ProgramTr
 def check_cores_finished(system: BuiltSystem, name: str) -> None:
     """Raise :class:`SimulationError` naming every core that did not finish:
     its id, trace position, what it is blocked on and its outstanding memory
-    requests.  Cheap when every core finished; the diagnosis is built on the
+    requests; on an Active-Routing system also the three oldest unfinished
+    flows.  Cheap when every core finished; the diagnosis is built on the
     error path only."""
     if system.cmp.all_done:
         return
@@ -64,8 +65,12 @@ def check_cores_finished(system: BuiltSystem, name: str) -> None:
         f"core {core.core_id} at pc {core.pc}/{len(core.trace)}, blocked on "
         f"{core.blocked_reason or 'nothing'}, {core.outstanding_mem} "
         f"outstanding mem" for core in system.cmp.cores if not core.done)
-    raise SimulationError(f"run of {name!r} on {system.config.label} ended "
-                          f"with unfinished cores: {stuck}")
+    message = (f"run of {name!r} on {system.config.label} ended "
+               f"with unfinished cores: {stuck}")
+    flows = system.ar_host.describe_oldest_flows() if system.ar_host else []
+    if flows:
+        message += "; oldest unfinished flows: " + "; ".join(flows)
+    raise SimulationError(message)
 
 
 def prepare_program(config: SystemConfig, workload: Union[Workload, str],

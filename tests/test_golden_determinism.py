@@ -66,9 +66,10 @@ def snapshot_digest(stats) -> str:
     return hasher.hexdigest()
 
 
-def run_tiny_pagerank(kind, net=None):
+def run_tiny_pagerank(kind, net=None, before_run=None):
     # ``net`` passes network overrides through the config, the one path the
-    # CLI, the suite and the tools choose a routing policy by.
+    # CLI, the suite and the tools choose a routing policy by.  ``before_run``
+    # gets the built system after the cores start, before the first event.
     config = make_system_config(kind, **(net or {}))
     wconfig = WorkloadConfig()
     wconfig.num_threads = 4
@@ -78,6 +79,8 @@ def run_tiny_pagerank(kind, net=None):
     system = build_system(config)
     system.cmp.load_program(program)
     system.cmp.start()
+    if before_run is not None:
+        before_run(system)
     system.sim.run_until_idle()
     return system
 
@@ -93,6 +96,27 @@ def test_golden_cycles_events_and_stats_digest(kind, routing):
     assert system.sim.now == cycles
     assert system.sim.executed_events == events
     assert snapshot_digest(system.sim.stats) == digest
+
+
+def _snapshot_every_7_cycles(system):
+    sim = system.sim
+
+    def probe():
+        sim.stats.snapshot()
+        if len(sim.events):           # reschedule only while the run goes on
+            sim.schedule(7.0, probe)
+
+    sim.schedule(7.0, probe)
+
+
+@pytest.mark.parametrize("kind", CONFIG_ORDER, ids=[k.value for k in CONFIG_ORDER])
+def test_reading_stats_mid_run_leaves_the_golden_digest(kind):
+    """Observability must not change results: a probe event that snapshots the
+    registry every 7 cycles ends the run with the golden stats digest.  Only
+    the digest is compared, because the probe itself moves ``sim.now`` and
+    the executed-event count."""
+    system = run_tiny_pagerank(kind, before_run=_snapshot_every_7_cycles)
+    assert snapshot_digest(system.sim.stats) == GOLDEN[kind.value][2]
 
 
 #: Fixed-seed degraded golden: ARF-tid pagerank/tiny with random link faults

@@ -1,12 +1,12 @@
-"""Epoch-batched link statistics must be observationally identical to the old
-per-packet counter increments through every registry read path.
+"""Link statistics must equal the exact per-packet counter increments through
+every registry read path.
 
-``Link.transmit`` (and the inlined copy in ``MemoryNetwork._hop``) accumulate
-their five per-packet counters in plain locals and flush them into the bound
-cells only when a reader asks.  These tests interleave ``transmit()`` with
-every read path — ``counter``, ``counters``, ``sum``, ``snapshot``, ``merge``,
-``clear`` — and with worker-process result merging, mirroring the exact
-per-packet arithmetic the pre-batching implementation performed.
+``Link.transmit`` (and the inlined copy in ``MemoryNetwork._hop``) write each
+packet's counts into the link's counter cells as the packet is sent, and the
+network-wide totals are folds over those cells.  These tests interleave
+``transmit()`` with every read path — ``counter``, ``counters``, ``sum``,
+``snapshot``, ``clear`` — and with worker-process result merging, mirroring
+the per-packet arithmetic one packet at a time.
 """
 
 import pytest
@@ -30,7 +30,7 @@ CATEGORY_TYPES = (PacketType.READ_REQ,      # norm_req
 
 
 class _PerPacketMirror:
-    """Reference model: the exact increments the unbatched Link performed."""
+    """Reference model: the exact per-packet increments of a Link."""
 
     def __init__(self, link):
         self.link = link
@@ -46,8 +46,7 @@ class _PerPacketMirror:
         earliest = link.sim.now
         start = max(link.busy_until, earliest)
         arrival, queue_delay = link.transmit(packet)
-        # Mirror the per-packet increments in the order transmit() used to
-        # perform them, one packet at a time.
+        # Mirror the per-packet increments, one packet at a time.
         size = packet.size
         serialization = size / link.config.bandwidth_bytes_per_cycle
         assert arrival == start + serialization + link.config.latency_cycles
@@ -113,8 +112,8 @@ def _packet(ptype, size=0):
 
 def test_every_read_path_sees_exact_values_after_each_transmit():
     """Reading between single transmits must match the per-packet model to the
-    last bit (the flush folds exactly one packet per epoch, so even inexact
-    float serialization sums associate identically)."""
+    last bit, even for inexact float serialization sums, and reading must not
+    change what later reads see."""
     sim, link = _make_link()
     stats = sim.stats
     mirror = _PerPacketMirror(link)
@@ -137,9 +136,8 @@ def test_every_read_path_sees_exact_values_after_each_transmit():
 
 
 def test_batched_epochs_match_per_packet_totals():
-    """Multiple transmits between reads: use sizes whose serialization is
-    exact in binary floating point so per-packet and batched sums are equal
-    regardless of where the epoch boundaries fall."""
+    """Multiple transmits between reads: the totals match the per-packet
+    model whenever the reads fall (sizes are exact multiples of 12.5)."""
     sim, link = _make_link()
     stats = sim.stats
     mirror = _PerPacketMirror(link)
@@ -147,27 +145,9 @@ def test_batched_epochs_match_per_packet_totals():
     for epoch in range(4):
         for ptype, size in zip(CATEGORY_TYPES, sizes):
             mirror.transmit(_packet(ptype, size=size))
-        # One flush per epoch of four packets.
+        # One read per four packets.
         assert stats.counters(f"{link.name}.") == mirror.expected_counters()
     assert stats.counter(f"{link.name}.packets") == 16
-
-
-def test_merge_flushes_both_registries():
-    sim_a, link_a = _make_link()
-    sim_b, link_b = _make_link()
-    mirror_a, mirror_b = _PerPacketMirror(link_a), _PerPacketMirror(link_b)
-    for _ in range(3):
-        mirror_a.transmit(_packet(PacketType.READ_REQ))
-    for _ in range(5):
-        mirror_b.transmit(_packet(PacketType.UPDATE))
-    # Neither registry has been read yet: both sides' accumulators are dirty.
-    sim_a.stats.merge(sim_b.stats)
-    merged = sim_a.stats.counters("link.0->1.")
-    assert merged["link.0->1.packets"] == 8
-    assert merged["link.0->1.bytes"] == mirror_a.bytes + mirror_b.bytes
-    assert merged["link.0->1.bytes.norm_req"] == mirror_a.by_category["norm_req"]
-    assert merged["link.0->1.bytes.active_req"] == mirror_b.by_category["active_req"]
-    assert merged["link.0->1.energy_pj"] == mirror_a.energy_pj + mirror_b.energy_pj
 
 
 def test_clear_discards_pending_accumulators():
@@ -175,7 +155,7 @@ def test_clear_discards_pending_accumulators():
     mirror = _PerPacketMirror(link)
     for _ in range(4):
         mirror.transmit(_packet(PacketType.READ_REQ))
-    sim.stats.clear()                         # never read: accumulators still dirty
+    sim.stats.clear()                         # never read before the clear
     assert sim.stats.counter(f"{link.name}.packets") == 0.0
     assert sim.stats.counters(f"{link.name}.") == {}
     # Post-clear traffic counts from zero again.
@@ -193,8 +173,8 @@ def test_utilization_sees_unflushed_busy_cycles():
 
 
 def test_network_hop_counters_match_link_totals():
-    """The inlined hop path feeds both the link's and the network's batched
-    accumulators; network.bytes must equal the sum over all links."""
+    """The inlined hop path writes only the link cells; the network totals
+    are folds over all links."""
     sim = Simulator()
     net = MemoryNetwork(sim, build_dragonfly())
     class _Sink:
@@ -216,8 +196,8 @@ def test_network_hop_counters_match_link_totals():
 
 
 def test_worker_process_merge_matches_serial_link_stats():
-    """Results collected in worker processes (which flush at collect time)
-    must carry byte-for-byte identical movement/byte totals."""
+    """Results collected in worker processes must carry byte-for-byte
+    identical movement/byte totals."""
     config = make_system_config("ARF-tid", num_cores=2)
     jobs = [(("mac", "ARF-tid"), config, "mac", {"array_elements": 256}),
             (("reduce", "ARF-tid"), config, "reduce", {"array_elements": 256})]

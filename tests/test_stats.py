@@ -38,17 +38,6 @@ def test_histograms_and_snapshot():
     assert snap["lat.count"] == 3
 
 
-def test_merge_combines_everything():
-    a, b = StatsRegistry(), StatsRegistry()
-    a.add("x", 1)
-    b.add("x", 2)
-    b.observe("h", 5.0)
-    b.set_gauge("g", 7)
-    a.merge(b)
-    assert a.counter("x") == 3
-    assert a.histogram("h").count == 1
-    assert a.gauge("g") == 7
-
 
 def test_histogram_percentile_and_bounds():
     hist = Histogram()
@@ -168,12 +157,47 @@ def test_unused_handle_is_invisible_like_a_missing_counter():
     assert stats.counter("never.touched") == 0.0
 
 
-def test_merge_sees_bound_handles():
-    a, b = StatsRegistry(), StatsRegistry()
-    b.counter_handle("x").value += 5
-    a.counter_handle("x").value += 1
-    a.merge(b)
-    assert a.counter("x") == 6
+def test_folded_counter_is_computed_on_read_and_read_only():
+    stats = StatsRegistry()
+    cells = [stats.counter_handle(f"link{i}.bytes") for i in range(3)]
+    stats.folded_counter("net.bytes", cells)
+    stats.folded_counter("net.bits", cells, scale=8)
+    # A zero fold is hidden like an unused cell.
+    assert "net.bytes" not in stats.counters()
+    cells[0].value += 0.1
+    cells[2].value += 0.2
+    cells[1].value += 0.3
+    # Explicit left-to-right order over the cell list: (0.1 + 0.3) + 0.2.
+    assert stats.counter("net.bytes") == (0.1 + 0.3) + 0.2
+    assert stats.counters("net.") == {"net.bytes": (0.1 + 0.3) + 0.2,
+                                      "net.bits": ((0.1 + 0.3) + 0.2) * 8}
+    with pytest.raises(ValueError, match="fold"):
+        stats.add("net.bytes", 1)
+    with pytest.raises(ValueError, match="already exists"):
+        stats.folded_counter("link0.bytes", cells)
+    stats.clear()
+    assert stats.counter("net.bytes") == 0.0
+    assert stats.counters() == {}
+
+
+def test_reading_never_changes_a_value():
+    """Every reader, called any number of times, leaves every value as it was."""
+    stats = StatsRegistry()
+    cell = stats.counter_handle("a.x")
+    stats.folded_counter("a.sum", [cell])
+    part = Histogram()
+    stats.folded_histogram("h").attach(part)
+    for value in (0.1, 0.2, 0.7):
+        cell.value += value
+        part.add(value)
+        first = stats.snapshot()
+        for _ in range(3):
+            stats.counters()
+            stats.sum("a.")
+            stats.histograms()
+            assert stats.histogram("h").total == part.total
+            assert stats.snapshot() == first
+    assert cell.value == (0.1 + 0.2) + 0.7
 
 
 def test_clear_resets_bound_handles():

@@ -1,5 +1,7 @@
 """Tests for system configuration, machine building and the run driver."""
 
+import re
+
 import pytest
 
 from repro.dram import DRAMSystem
@@ -15,6 +17,7 @@ from repro.system import (
     table_4_1,
 )
 from repro.sim import SimulationError
+from repro.system.results import collect_results
 from repro.system.runner import check_cores_finished
 from repro.workloads import make_workload, WorkloadConfig
 
@@ -92,6 +95,44 @@ def test_unfinished_cores_are_named_with_their_state():
                 f"48 outstanding mem") in message
     system.sim.run_until_idle()
     check_cores_finished(system, program.name)   # finished: no error
+
+
+def test_unfinished_flows_are_named_oldest_first():
+    workload = make_workload("pagerank", WorkloadConfig(num_threads=2),
+                             num_vertices=96, avg_degree=4)
+    program = workload.generate("active")
+    system = build_system("ARF-tid", num_cores=2)
+    system.cmp.load_program(program)
+    system.cmp.start()
+    system.sim.run(max_events=1000)   # stop early: gathers are in flight
+    with pytest.raises(SimulationError) as info:
+        check_cores_finished(system, program.name)
+    cores, _, flows = str(info.value).partition("; oldest unfinished flows: ")
+    assert cores.startswith("run of 'pagerank' on ARF-tid ended with unfinished cores: ")
+    flows = flows.split("; ")
+    assert len(flows) == 3            # the three oldest of more in flight
+    assert system.ar_host.active_flows > 3
+    assert flows[0] == ("flow 0x10001000 (mac): 0/5 updates completed, "
+                        "1/1 gathers arrived, pending response ports [0]")
+    assert flows[1].startswith("flow 0x10001008 (mac): ")
+
+
+def test_per_cube_vault_accesses_count_vault_accesses_only():
+    program = make_workload("mac", WorkloadConfig(num_threads=2),
+                            array_elements=512).generate("baseline")
+    system = build_system("HMC", num_cores=2)
+    system.cmp.load_program(program)
+    system.cmp.start()
+    system.sim.run_until_idle()
+    result = collect_results(system, program)
+    counters = system.sim.stats.counters()
+    per_cube = result.per_cube["vault_accesses"]
+    assert sorted(per_cube) == list(range(16))
+    for cube_id, accesses in per_cube.items():
+        assert accesses == sum(
+            value for name, value in counters.items()
+            if re.fullmatch(rf"hmc\.cube{cube_id}\.vault\d+\.accesses", name))
+    assert sum(per_cube.values()) > 0
 
 
 def test_run_workload_rejects_too_many_threads():
