@@ -165,8 +165,7 @@ class ActiveRoutingEngine(Component):
             finish = self.cube.local_access(packet.target_addr,
                                             self.config.store_write_bytes, is_write=True)
             self._h_store_writes.value += 1
-            self.sim.schedule_at(finish, lambda: self._commit_store(packet, arrival),
-                                 label=f"{self.name}.store")
+            self.sim.schedule_at(finish, self._commit_store, packet, arrival)
             return
         # mov: fetch the source operand, then write the target locally.
         entry = self.operand_buffers.reserve(packet.flow_id, packet.root_node,
@@ -209,8 +208,7 @@ class ActiveRoutingEngine(Component):
         self.sim.schedule_at(
             commit_time,
             lambda: self._commit_reduce(packet, arrival, arrival, value,
-                                        response_end=commit_time),
-            label=f"{self.name}.commit1op")
+                                        response_end=commit_time))
 
     def _issue_operand_fetches(self, entry: OperandBufferEntry) -> None:
         entry.operand_issue_time = self.sim.now
@@ -231,8 +229,7 @@ class ActiveRoutingEngine(Component):
                 slot, op_index, op_value = entry.slot, index, value
                 self.sim.schedule_at(
                     finish,
-                    lambda s=slot, i=op_index, v=op_value: self._operand_arrived(s, i, v),
-                    label=f"{self.name}.local_operand")
+                    lambda s=slot, i=op_index, v=op_value: self._operand_arrived(s, i, v))
             else:
                 request = OperandRequestPacket(
                     src=self.node_id, dst=owner, addr=addr,
@@ -252,15 +249,11 @@ class ActiveRoutingEngine(Component):
         finish = self.cube.local_access(packet.addr, self.config.operand_read_bytes,
                                         is_write=False)
         self._h_operand_reads_served.value += 1
-
-        def _respond() -> None:
-            response = OperandResponsePacket(
-                src=self.node_id, dst=packet.compute_node, addr=packet.addr,
-                buffer_slot=packet.buffer_slot, operand_index=packet.operand_index,
-                value=packet.value, flow_id=packet.flow_id)
-            self.network.inject(response, self.node_id)
-
-        self.sim.schedule_at(finish, _respond, label=f"{self.name}.operand_resp")
+        response = OperandResponsePacket(
+            src=self.node_id, dst=packet.compute_node, addr=packet.addr,
+            buffer_slot=packet.buffer_slot, operand_index=packet.operand_index,
+            value=packet.value, flow_id=packet.flow_id)
+        self.sim.schedule_at(finish, self.network.inject, response, self.node_id)
 
     def _handle_operand_response(self, packet: OperandResponsePacket, from_node: int) -> None:
         if packet.dst != self.node_id:
@@ -291,9 +284,7 @@ class ActiveRoutingEngine(Component):
             finish = self.cube.local_access(packet.target_addr,
                                             self.config.store_write_bytes, is_write=True)
             self._h_store_writes.value += 1
-            self.sim.schedule_at(finish,
-                                 lambda: self._commit_store(packet, arrival),
-                                 label=f"{self.name}.store")
+            self.sim.schedule_at(finish, self._commit_store, packet, arrival)
         else:
             value = self.alu.combine(packet.opcode, value1, value2)
             self._commit_reduce(packet, arrival, operand_issue, value)

@@ -25,7 +25,12 @@ MissCallback = Callable[[float], None]
 
 
 class Cache:
-    """A set-associative, write-back, LRU cache (tag store only)."""
+    """A set-associative, write-back, LRU cache (tag store only).
+
+    Each set is a ``tag -> dirty`` dict kept in recency order: a hit or a
+    refill moves the tag to the end, so the least recently used tag is always
+    the first key and eviction is O(1).
+    """
 
     def __init__(self, size_bytes: int, assoc: int, block_size: int) -> None:
         if size_bytes % (assoc * block_size) != 0:
@@ -35,56 +40,44 @@ class Cache:
         self.num_sets = size_bytes // (assoc * block_size)
         if self.num_sets < 1:
             raise ValueError("cache must have at least one set")
-        # Per set: tag -> [lru_stamp, dirty]
-        self._sets: List[Dict[int, List]] = [dict() for _ in range(self.num_sets)]
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-
-    def _locate(self, block: int) -> Tuple[int, int]:
-        return block % self.num_sets, block // self.num_sets
+        self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
 
     def lookup(self, block: int, mark_dirty: bool = False) -> bool:
         """Probe for ``block``; updates LRU and the dirty bit on a hit."""
-        set_idx, tag = self._locate(block)
-        entry = self._sets[set_idx].get(tag)
-        self._clock += 1
-        if entry is None:
-            self.misses += 1
+        cache_set = self._sets[block % self.num_sets]
+        tag = block // self.num_sets
+        if tag not in cache_set:
             return False
-        entry[0] = self._clock
-        if mark_dirty:
-            entry[1] = True
-        self.hits += 1
+        dirty = cache_set[tag]
+        del cache_set[tag]
+        cache_set[tag] = dirty or mark_dirty
         return True
 
     def fill(self, block: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Insert ``block``; returns ``(evicted_block, was_dirty)`` if a victim was chosen."""
-        set_idx, tag = self._locate(block)
+        set_idx = block % self.num_sets
+        tag = block // self.num_sets
         cache_set = self._sets[set_idx]
-        self._clock += 1
         if tag in cache_set:
-            entry = cache_set[tag]
-            entry[0] = self._clock
-            entry[1] = entry[1] or dirty
+            dirty = cache_set[tag] or dirty
+            del cache_set[tag]
+            cache_set[tag] = dirty
             return None
         victim = None
         if len(cache_set) >= self.assoc:
-            victim_tag = min(cache_set, key=lambda t: cache_set[t][0])
-            victim_dirty = cache_set[victim_tag][1]
+            for victim_tag in cache_set:  # the first key is the LRU tag
+                break
+            victim = (victim_tag * self.num_sets + set_idx, cache_set[victim_tag])
             del cache_set[victim_tag]
-            victim = (victim_tag * self.num_sets + set_idx, victim_dirty)
-        cache_set[tag] = [self._clock, dirty]
+        cache_set[tag] = dirty
         return victim
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if present; returns whether it was there."""
-        set_idx, tag = self._locate(block)
-        return self._sets[set_idx].pop(tag, None) is not None
+        return self._sets[block % self.num_sets].pop(block // self.num_sets, None) is not None
 
     def contains(self, block: int) -> bool:
-        set_idx, tag = self._locate(block)
-        return tag in self._sets[set_idx]
+        return block // self.num_sets in self._sets[block % self.num_sets]
 
     @property
     def occupancy(self) -> int:
@@ -101,28 +94,31 @@ class Directory:
     def sharers(self, block: int) -> Set[int]:
         return self._sharers.get(block, set())
 
+    # add_sharer()/remove_sharer() run once per L1 fill: membership tests
+    # rather than setdefault() or get(), which cost a method call each (and
+    # setdefault() builds a fresh set that is usually discarded).
     def add_sharer(self, block: int, core: int) -> None:
-        # get-then-insert rather than setdefault: the latter constructs (and
-        # usually discards) a fresh set on every call, once per cache access.
-        sharers = self._sharers.get(block)
-        if sharers is None:
-            self._sharers[block] = {core}
+        if block in self._sharers:
+            self._sharers[block].add(core)
         else:
-            sharers.add(core)
+            self._sharers[block] = {core}
 
     def remove_sharer(self, block: int, core: int) -> None:
-        sharers = self._sharers.get(block)
-        if sharers is not None:
+        if block in self._sharers:
+            sharers = self._sharers[block]
             sharers.discard(core)
             if not sharers:
                 del self._sharers[block]
 
     def exclusive(self, block: int, core: int) -> List[int]:
         """Make ``core`` the sole sharer; returns the cores that must be invalidated."""
-        victims = sorted(self.sharers(block) - {core})
-        if victims:
-            self.invalidations += len(victims)
-        self._sharers[block] = {core}
+        owner = {core}
+        sharers = self._sharers.get(block)
+        self._sharers[block] = owner
+        if sharers is None or sharers == owner:
+            return []
+        victims = sorted(sharers - owner)
+        self.invalidations += len(victims)
         return victims
 
 
@@ -153,19 +149,17 @@ class CacheHierarchy(Component):
         self._h_l2_hits = self.counter_handle("l2_hits")
         self._h_l2_misses = self.counter_handle("l2_misses")
         self._h_energy_pj = self.counter_handle("energy_pj")
+        self._h_mshr_merges = self.counter_handle("mshr_merges")
+        self._h_prefetches = self.counter_handle("prefetches")
+        #: Per core, the NoC hop distance from its tile to each L2 bank's tile.
+        self._l2_hops: List[List[int]] = [
+            [noc.hop_table[noc.core_tile(core)][noc.bank_tile(bank)]
+             for bank in range(cc.l2_banks)]
+            for core in range(config.num_cores)]
 
     # -- address helpers ---------------------------------------------------------
     def block_of(self, addr: int) -> int:
         return addr // self.cache_config.block_size
-
-    def _bank_of(self, block: int) -> int:
-        return block % self.cache_config.l2_banks
-
-    def _l2_round_trip(self, core_id: int, block: int) -> float:
-        """NoC round trip from the core's tile to the L2 bank's tile."""
-        core_tile = self.noc.core_tile(core_id)
-        bank_tile = self.noc.bank_tile(self._bank_of(block))
-        return self.noc.round_trip(core_tile, bank_tile, 16, self.cache_config.block_size)
 
     # -- main access path ----------------------------------------------------------
     def access(self, core_id: int, addr: int, is_write: bool,
@@ -177,7 +171,7 @@ class CacheHierarchy(Component):
         ``on_complete(total_latency)`` fires when the fill returns.
         """
         cc = self.cache_config
-        block = self.block_of(addr)
+        block = addr // cc.block_size
         l1 = self.l1s[core_id]
         self._h_accesses.value += 1
         self._h_l1_accesses.value += 1
@@ -197,14 +191,27 @@ class CacheHierarchy(Component):
             return cc.l1_latency + coherence_penalty
 
         self._h_l1_misses.value += 1
-        # L2 probe (S-NUCA bank across the mesh).
-        noc_latency = self._l2_round_trip(core_id, block)
+        # L2 probe (S-NUCA bank across the mesh): MeshNoC.round_trip() with a
+        # 16-byte request and a block-sized response, from the precomputed
+        # hop distance.  It writes the NoC's cells in round_trip()'s order,
+        # so the accumulated floats match exactly.
+        noc = self.noc
+        hops = self._l2_hops[core_id][block % cc.l2_banks]
+        resp_bytes = cc.block_size
+        noc._h_transfers.value += 2
+        noc._h_byte_hops.value += 16 * hops
+        noc._h_byte_hops.value += resp_bytes * hops
+        noc._h_bytes.value += 16
+        noc._h_bytes.value += resp_bytes
+        noc._h_energy_pj.value += 16 * hops * noc.energy_pj_per_byte_hop
+        noc._h_energy_pj.value += resp_bytes * hops * noc.energy_pj_per_byte_hop
+        noc_latency = hops * noc.hop_latency
+        noc_latency += noc_latency
         self._h_l2_accesses.value += 1
         self._h_energy_pj.value += cc.l2_energy_pj
         if self.l2.lookup(block, mark_dirty=is_write):
             self._h_l2_hits.value += 1
             self._fill_l1(core_id, block, dirty=is_write)
-            self.directory.add_sharer(block, core_id)
             return cc.l1_latency + cc.l2_latency + noc_latency + coherence_penalty
 
         self._h_l2_misses.value += 1
@@ -244,12 +251,12 @@ class CacheHierarchy(Component):
                         on_chip_latency: float,
                         on_complete: Optional[MissCallback]) -> None:
         cc = self.cache_config
-        waiter = (on_complete or (lambda latency: None), self.now, core_id)
-        waiters = self._mshrs.get(block)
-        if waiters is not None:
+        now = self.sim.now
+        waiter = (on_complete or (lambda latency: None), now, core_id)
+        if block in self._mshrs:
             # Merge with the fetch of the same block that is already in flight.
-            waiters.append(waiter)
-            self.count("mshr_merges")
+            self._mshrs[block].append(waiter)
+            self._h_mshr_merges.value += 1
             return
         self._mshrs[block] = [waiter]
 
@@ -262,12 +269,12 @@ class CacheHierarchy(Component):
                     self._fill_l1(waiter_core, block, dirty=is_write and waiter_core == core_id)
                     filled_cores.add(waiter_core)
             for callback, start, _waiter_core in pending:
-                callback(self.now - start + on_chip_latency)
+                callback(self.sim.now - start + on_chip_latency)
 
         request = MemoryRequest(addr=block * cc.block_size, size=cc.block_size,
                                 access_type=AccessType.NORMAL_READ,
                                 requester=self.name, core_id=core_id,
-                                issue_time=self.now, on_complete=_fill_done)
+                                issue_time=now, on_complete=_fill_done)
         self.memory.access(request)
 
     def _issue_prefetches(self, block: int) -> None:
@@ -283,18 +290,18 @@ class CacheHierarchy(Component):
             if candidate in self._mshrs or self.l2.contains(candidate):
                 continue
             self._mshrs[candidate] = []
-            self.count("prefetches")
+            self._h_prefetches.value += 1
 
             def _prefetch_done(request: MemoryRequest, blk: int = candidate) -> None:
                 self._fill_l2(blk, dirty=False)
                 # Demand accesses may have merged onto the prefetch while it was
                 # in flight; complete them now.
                 for callback, start, _core in self._mshrs.pop(blk, []):
-                    callback(self.now - start + self.cache_config.l2_latency)
+                    callback(self.sim.now - start + self.cache_config.l2_latency)
 
             request = MemoryRequest(addr=candidate * cc.block_size, size=cc.block_size,
                                     access_type=AccessType.NORMAL_READ,
-                                    requester=self.name, issue_time=self.now,
+                                    requester=self.name, issue_time=self.sim.now,
                                     on_complete=_prefetch_done)
             self.memory.access(request)
 
@@ -317,7 +324,7 @@ class CacheHierarchy(Component):
             if latency is not None:
                 self.sim.schedule(latency, lambda: on_complete(self.now - issue_time))
 
-        self.sim.schedule_at(start, _do_access, label=f"{self.name}.atomic")
+        self.sim.schedule_at(start, _do_access)
 
     # -- statistics -------------------------------------------------------------------
     def l1_hit_rate(self) -> float:

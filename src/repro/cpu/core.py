@@ -15,6 +15,7 @@ count (and therefore Python run time) manageable.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa import (
@@ -29,7 +30,7 @@ from ..isa import (
     ThreadTrace,
     UpdateOp,
 )
-from ..sim import Component, Simulator
+from ..sim import Component, CounterHandle, Simulator
 from .cache import CacheHierarchy
 from .config import CoreConfig
 from .message_interface import MessageInterface
@@ -77,6 +78,10 @@ class Core(Component):
         self._next_sample = config.ipc_sample_interval
         #: (label, cycle, instructions) phase markers emitted by the workload.
         self.phase_log: List[Tuple[str, float, int]] = []
+        self._h_mem_hits = self.counter_handle("mem_hits")
+        self._h_mem_misses_issued = self.counter_handle("mem_misses_issued")
+        #: Stall-time cells by blocking reason, created on first use.
+        self._h_stall: Dict[str, CounterHandle] = {}
 
     # -- setup -------------------------------------------------------------------
     def load_trace(self, trace: ThreadTrace) -> None:
@@ -94,24 +99,38 @@ class Core(Component):
         if self._advance_scheduled:
             return
         self._advance_scheduled = True
-        self.schedule(delay, self._advance, label=f"{self.name}.advance")
+        # Inlined Simulator.schedule (the delay is never negative): every
+        # issue batch and every wake-up schedules one advance.
+        sim = self.sim
+        events = sim.events
+        heapq.heappush(events._heap,
+                       [sim.now + delay, events._seq, self._advance, None, None])
+        events._seq += 1
 
     def _block(self, reason: str) -> None:
         self.blocked_reason = reason
-        self._block_start = self.now
+        self._block_start = self.sim.now
 
     def _unblock(self) -> None:
-        if self.blocked_reason is not None:
-            self.count(f"stall.{self.blocked_reason}", self.now - self._block_start)
+        reason = self.blocked_reason
+        if reason is not None:
+            if reason not in self._h_stall:
+                self._h_stall[reason] = self.counter_handle(f"stall.{reason}")
+            self._h_stall[reason].value += self.sim.now - self._block_start
             self.blocked_reason = None
         self._schedule_advance(0.0)
 
     def _retire(self, op) -> None:
+        # _advance() inlines the first three lines for compute, load and
+        # store ops, the bulk of every trace.
         self.pc += 1
         self.instructions += op.instructions
         if self.instructions >= self._next_sample:
-            self.ipc_samples.append((self.instructions, self.now))
-            self._next_sample += self.config.ipc_sample_interval
+            self._sample_ipc()
+
+    def _sample_ipc(self) -> None:
+        self.ipc_samples.append((self.instructions, self.sim.now))
+        self._next_sample += self.config.ipc_sample_interval
 
     def _maybe_finish(self) -> None:
         if (not self.done and self.pc >= len(self.trace)
@@ -129,7 +148,8 @@ class Core(Component):
         if self._waiting_for_mem_slot:
             self._waiting_for_mem_slot = False
             self._unblock()
-        self._maybe_finish()
+        if self.outstanding_mem == 0:
+            self._maybe_finish()
 
     def _request_done(self, arrival: float, latency: float) -> None:
         """Miss completion for the memory op heading an open-loop request."""
@@ -164,20 +184,29 @@ class Core(Component):
         if self.done or self.blocked_reason is not None:
             return
         cfg = self.config
+        trace = self.trace
+        end = len(trace)
+        sim = self.sim
+        issue_width = cfg.issue_width if cfg.issue_width > 1 else 1
         used = 0.0
-        while self.pc < len(self.trace):
+        # Dispatch on the exact op class: no op class has subclasses, and an
+        # identity test is cheaper than isinstance() once per op.
+        while self.pc < end:
             if used >= cfg.issue_batch_cycles:
                 self._schedule_advance(used)
                 return
-            op = self.trace[self.pc]
+            op = trace[self.pc]
+            cls = op.__class__
 
-            if isinstance(op, ComputeOp):
-                self._retire(op)
-                cost = op.cycles / max(1, cfg.issue_width)
-                used += cost
+            if cls is ComputeOp:
+                self.pc += 1
+                self.instructions += op.instructions
+                if self.instructions >= self._next_sample:
+                    self._sample_ipc()
+                used += op.cycles / issue_width
                 continue
 
-            if isinstance(op, (LoadOp, StoreOp)):
+            if cls is LoadOp or cls is StoreOp:
                 if self.outstanding_mem >= cfg.max_outstanding_mem:
                     if used > 0:
                         self._schedule_advance(used)
@@ -185,9 +214,11 @@ class Core(Component):
                         self._waiting_for_mem_slot = True
                         self._block("mem_window")
                     return
-                self._retire(op)
+                self.pc += 1
+                self.instructions += op.instructions
+                if self.instructions >= self._next_sample:
+                    self._sample_ipc()
                 used += cfg.mem_issue_cycles
-                is_write = isinstance(op, StoreOp)
                 arrival = self._pending_arrival
                 if arrival is None:
                     on_complete = self._mem_done
@@ -198,18 +229,18 @@ class Core(Component):
                     self._pending_arrival = None
                     on_complete = (lambda latency, _arrival=arrival:
                                    self._request_done(_arrival, latency))
-                latency = self.hierarchy.access(self.core_id, op.addr, is_write,
-                                                on_complete=on_complete)
+                latency = self.hierarchy.access(self.core_id, op.addr, cls is StoreOp,
+                                                on_complete)
                 if latency is None:
                     self.outstanding_mem += 1
-                    self.count("mem_misses_issued")
+                    self._h_mem_misses_issued.value += 1
                 else:
-                    self.count("mem_hits")
+                    self._h_mem_hits.value += 1
                     if arrival is not None:
-                        self._request_hit(arrival, self.now + latency)
+                        self._request_hit(arrival, sim.now + latency)
                 continue
 
-            if isinstance(op, UpdateOp):
+            if cls is UpdateOp:
                 if not self.mi.enabled:
                     raise RuntimeError(
                         f"{self.name} has an Update in its trace but this configuration "
@@ -233,7 +264,7 @@ class Core(Component):
                     # queueing the request experienced before entering the
                     # memory network).  The network round trip is measured
                     # separately by ar.update_latency.*.
-                    self._hist_request_latency.add(self.now - self._pending_arrival)
+                    self._hist_request_latency.add(sim.now - self._pending_arrival)
                     self.count("requests_completed")
                     self._pending_arrival = None
                 continue
@@ -244,49 +275,48 @@ class Core(Component):
                 self._schedule_advance(used)
                 return
 
-            if isinstance(op, ArrivalOp):
+            if cls is ArrivalOp:
                 self._retire(op)
                 self._pending_arrival = op.at
-                if op.at > self.now:
+                if op.at > sim.now:
                     # Idle until the intended arrival cycle; the wait is a
                     # distinct stall reason so open-loop idle time never
                     # pollutes the contention stall breakdown.
                     self._block("arrival")
-                    self.schedule(op.at - self.now, self._unblock,
-                                  label=f"{self.name}.arrival")
+                    sim.schedule(op.at - sim.now, self._unblock)
                     return
                 continue
 
-            if isinstance(op, GatherOp):
+            if cls is GatherOp:
                 self._retire(op)
                 self.count("gathers_issued")
                 self._block("gather")
                 self.mi.offload_gather(op, self._gather_done)
                 return
 
-            if isinstance(op, AtomicOp):
+            if cls is AtomicOp:
                 self._retire(op)
                 self.count("atomics_issued")
                 self._block("atomic")
                 self.hierarchy.atomic_access(self.core_id, op.addr, self._atomic_done)
                 return
 
-            if isinstance(op, BarrierOp):
+            if cls is BarrierOp:
                 self._retire(op)
                 self._block("barrier")
                 self.barriers.arrive(op.barrier_id, op.participants, self._barrier_released)
                 return
 
-            if isinstance(op, PhaseMarkerOp):
-                self.phase_log.append((op.label, self.now + used, self.instructions))
+            if cls is PhaseMarkerOp:
+                self.phase_log.append((op.label, sim.now + used, self.instructions))
                 self._retire(op)
                 continue
 
-            raise TypeError(f"unknown operation type {type(op).__name__}")
+            raise TypeError(f"unknown operation type {cls.__name__}")
 
         # Trace exhausted: wait for outstanding memory, then finish.
         if used > 0:
-            self.schedule(used, self._maybe_finish, label=f"{self.name}.drain")
+            sim.schedule(used, self._maybe_finish)
         else:
             self._maybe_finish()
 

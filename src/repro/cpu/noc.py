@@ -24,11 +24,17 @@ class MeshNoC(Component):
         self.cols = cols
         self.hop_latency = hop_latency
         self.energy_pj_per_byte_hop = energy_pj_per_byte_hop
-        # transfer() runs twice per L2 probe: pre-bind its counters.
+        # Pre-bind the traffic counters (the cache hierarchy writes them once
+        # per L2 probe).
         self._h_transfers = self.counter_handle("transfers")
         self._h_byte_hops = self.counter_handle("byte_hops")
         self._h_bytes = self.counter_handle("bytes")
         self._h_energy_pj = self.counter_handle("energy_pj")
+        #: ``hop_table[src_tile][dst_tile]``: :meth:`hops` for every tile pair,
+        #: so a per-access caller resolves a distance with one lookup.
+        self.hop_table: List[List[int]] = [
+            [self.hops(src, dst) for dst in range(self.num_tiles)]
+            for src in range(self.num_tiles)]
 
     @property
     def num_tiles(self) -> int:
@@ -78,8 +84,8 @@ class MeshNoC(Component):
         """Request/response pair latency between two tiles.
 
         Equivalent to two :meth:`transfer` calls (the stat updates are kept as
-        separate additions so the accumulated floats match exactly), fused
-        because this runs once per L2 probe.
+        separate additions so the accumulated floats match exactly).  The
+        cache hierarchy's per-probe copy reads :attr:`hop_table` instead.
         """
         hops = self.hops(src_tile, dst_tile)
         latency = hops * self.hop_latency

@@ -8,7 +8,7 @@ relative to the HMC memory network.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Optional
 
 from ..mem import DRAMAddressMapping
 from ..sim import Component, SharedResource, Simulator
@@ -29,30 +29,53 @@ class DDRChannel(Component):
         self.controller_latency = controller_latency
         self.bus = SharedResource(sim, f"{self.name}.bus")
         self.bus_bytes_per_cycle = bus_bytes_per_cycle
-        self._banks: Dict[Tuple[int, int], DRAMBank] = {}
-
-    def _bank(self, rank: int, bank: int) -> DRAMBank:
-        key = (rank, bank)
-        existing = self._banks.get(key)
-        if existing is None:
-            existing = DRAMBank(self.sim, f"{self.name}.r{rank}b{bank}", self.timing)
-            self._banks[key] = existing
-        return existing
+        # access() runs once per DRAM access: hoist the address-decode
+        # strides (same math as DRAMAddressMapping.rank_of/bank_of/row_of)
+        # and bind the counter cells.  Banks are built on first access and
+        # indexed densely by rank and bank.
+        self._block_size = mapping.block_size
+        self._ranks = mapping.ranks_per_channel
+        self._rank_stride = mapping.block_size * mapping.ranks_per_channel
+        self._banks_per_rank = mapping.banks_per_rank
+        self._row_stride = self._rank_stride * mapping.banks_per_rank
+        self._blocks_per_row = max(1, mapping.row_size // mapping.block_size)
+        self._banks: List[Optional[DRAMBank]] = [None] * (self._ranks * self._banks_per_rank)
+        self._h_accesses = self.counter_handle("accesses")
+        self._h_reads = self.counter_handle("reads")
+        self._h_writes = self.counter_handle("writes")
+        self._h_bytes = self.counter_handle("bytes")
 
     def access(self, addr: int, size: int, is_write: bool) -> float:
         """Reserve bank + bus for an access starting now; returns the finish time."""
-        rank = self.mapping.rank_of(addr)
-        bank_idx = self.mapping.bank_of(addr)
-        row = self.mapping.row_of(addr)
-        bank = self._bank(rank, bank_idx)
-        _, bank_finish = bank.access(row, earliest=self.now + self.controller_latency)
-        bus_occupancy = size / self.bus_bytes_per_cycle
-        _, bus_finish = self.bus.reserve(bus_occupancy, earliest=bank_finish)
-        self.count("accesses")
-        self.count("writes" if is_write else "reads")
-        self.count("bytes", size)
+        rank = (addr // self._block_size) % self._ranks
+        bank_idx = (addr // self._rank_stride) % self._banks_per_rank
+        row = (addr // self._row_stride) // self._blocks_per_row
+        index = rank * self._banks_per_rank + bank_idx
+        bank = self._banks[index]
+        if bank is None:
+            bank = self._banks[index] = DRAMBank(
+                self.sim, f"{self.name}.r{rank}b{bank_idx}", self.timing)
+        _, bank_finish = bank.access(row, earliest=self.sim.now + self.controller_latency)
+        occupancy = size / self.bus_bytes_per_cycle
+        # Inlined self.bus.reserve(occupancy, earliest=bank_finish).
+        bus = self.bus
+        start = bus.busy_until
+        if start < bank_finish:
+            start = bank_finish
+        bus_finish = start + occupancy
+        bus.busy_until = bus_finish
+        wait = start - bank_finish
+        if wait > 0:
+            bus._queue_wait_cycles.value += wait
+        bus._busy_cycles.value += occupancy
+        self._h_accesses.value += 1
+        if is_write:
+            self._h_writes.value += 1
+        else:
+            self._h_reads.value += 1
+        self._h_bytes.value += size
         return bus_finish
 
     @property
     def num_banks_touched(self) -> int:
-        return len(self._banks)
+        return sum(bank is not None for bank in self._banks)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import List
 
-from ..mem import DRAMAddressMapping, MemoryRequest
+from ..mem import AccessType, DRAMAddressMapping, MemoryRequest
 from ..sim import Component, Simulator
 from .channel import DDRChannel
 from .timing import DDR_TIMING, DRAMTiming
@@ -33,6 +34,15 @@ class DRAMSystem(Component):
                        controller_latency=controller_latency)
             for ch in range(self.mapping.num_channels)
         ]
+        # access() runs once per block request: bind its cells once.  The
+        # per-access-type byte cells are indexed by ``AccessType._code``
+        # (an enum-keyed dict would hash through a Python-level call).
+        self._h_requests = self.counter_handle("requests")
+        self._h_bytes = self.counter_handle("bytes")
+        self._h_type_bytes = [self.counter_handle(f"bytes.{access_type.value}")
+                              for access_type in AccessType]
+        self._h_energy_pj = self.counter_handle("energy_pj")
+        self._hist_latency = sim.stats.histogram(f"{self.name}.latency")
 
     @property
     def is_network_memory(self) -> bool:
@@ -40,16 +50,23 @@ class DRAMSystem(Component):
 
     def access(self, request: MemoryRequest) -> None:
         """Service one block request; completion fires ``request.on_complete``."""
-        request.issue_time = request.issue_time or self.now
+        now = self.sim.now
+        request.issue_time = request.issue_time or now
+        access_type = request.access_type
+        size = request.size
         channel = self.channels[self.mapping.channel_of(request.addr)]
-        finish = channel.access(request.addr, request.size, request.is_write)
-        self.count("requests")
-        self.count("bytes", request.size)
-        self.count(f"bytes.{request.access_type.value}", request.size)
-        self.count("energy_pj", request.size * 8 * self.ENERGY_PJ_PER_BIT)
-        self.observe("latency", finish - self.now)
-        self.sim.schedule_at(finish, lambda: request.complete(finish),
-                             label="dram.complete")
+        finish = channel.access(request.addr, size, access_type.is_write)
+        self._h_requests.value += 1
+        self._h_bytes.value += size
+        self._h_type_bytes[access_type._code].value += size
+        self._h_energy_pj.value += size * 8 * self.ENERGY_PJ_PER_BIT
+        self._hist_latency.add(finish - now)
+        # Inlined Simulator.schedule_at (the finish is never in the past);
+        # the unbound method takes (request, finish) as the event's arguments.
+        events = self.sim.events
+        heapq.heappush(events._heap,
+                       [finish, events._seq, MemoryRequest.complete, request, finish])
+        events._seq += 1
 
     def peak_bandwidth_bytes_per_cycle(self) -> float:
         """Aggregate peak data-bus bandwidth across channels."""

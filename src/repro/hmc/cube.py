@@ -94,25 +94,24 @@ class HMCCube(Component):
 
     def _serve_memory_packet(self, packet: Packet) -> None:
         assert self.network is not None, "cube is not connected to a network"
-        if packet.ptype not in (PacketType.READ_REQ, PacketType.WRITE_REQ):
-            raise RuntimeError(f"cube {self.node_id} cannot serve packet type {packet.ptype}")
-        is_read = packet.ptype == PacketType.READ_REQ
-        addr = getattr(packet, "addr", 0)
-        req_id = getattr(packet, "req_id", 0)
-        size = 64 if is_read else packet.size
-        requester = packet.src
+        ptype = packet.ptype
+        if ptype is PacketType.READ_REQ:
+            is_read = True
+            size = 64
+        elif ptype is PacketType.WRITE_REQ:
+            is_read = False
+            size = packet.size
+        else:
+            raise RuntimeError(f"cube {self.node_id} cannot serve packet type {ptype}")
+        addr = packet.addr
         finish = self.local_access(addr, size, is_write=not is_read)
         if is_read:
             self._h_served_reads.value += 1
         else:
             self._h_served_writes.value += 1
-
-        def _respond() -> None:
-            response = MemRespPacket(src=self.node_id, dst=requester,
-                                     addr=addr, is_read=is_read, req_id=req_id)
-            self.network.inject(response, self.node_id)
-
-        self.sim.schedule_at(finish, _respond, label=f"{self.name}.respond")
+        response = MemRespPacket(src=self.node_id, dst=packet.src,
+                                 addr=addr, is_read=is_read, req_id=packet.req_id)
+        self.sim.schedule_at(finish, self.network.inject, response, self.node_id)
 
     # -- statistics -----------------------------------------------------------
     def total_vault_accesses(self) -> float:

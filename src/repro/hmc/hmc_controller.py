@@ -60,9 +60,9 @@ class HMCController(Component):
     def access(self, request: MemoryRequest) -> None:
         """Packetize a cache-miss request and inject it into the memory network."""
         assert self.network is not None, "controller is not connected to a network"
-        request.issue_time = request.issue_time or self.now
+        request.issue_time = request.issue_time or self.sim.now
         dst_cube = self.mapping.cube_of(request.addr)
-        if request.is_write:
+        if request.access_type.is_write:
             packet: Packet = MemWritePacket(src=self.node_id, dst=dst_cube,
                                             addr=request.addr, req_id=request.req_id)
             self._h_writes.value += 1
@@ -72,18 +72,16 @@ class HMCController(Component):
             self._h_reads.value += 1
         self._h_requests.value += 1
         self._outstanding[request.req_id] = request
-        self.sim.schedule(self.config.controller_latency,
-                          lambda: self.network.inject(packet, self.node_id),
-                          label=f"{self.name}.inject")
+        self.sim.schedule(self.config.controller_latency, self.network.inject,
+                          packet, self.node_id)
 
     # -- active offload traffic -------------------------------------------------
     def inject(self, packet: Packet) -> None:
         """Inject an already-built (active) packet after the controller latency."""
         assert self.network is not None, "controller is not connected to a network"
         self._h_active_injected.value += 1
-        self.sim.schedule(self.config.controller_latency,
-                          lambda: self.network.inject(packet, self.node_id),
-                          label=f"{self.name}.inject_active")
+        self.sim.schedule(self.config.controller_latency, self.network.inject,
+                          packet, self.node_id)
 
     # -- network endpoint --------------------------------------------------------
     def receive_packet(self, packet: Packet, from_node: int) -> None:
@@ -100,10 +98,11 @@ class HMCController(Component):
         raise RuntimeError(f"{self.name} cannot handle packet type {ptype}")
 
     def _complete_memory_response(self, packet: Packet) -> None:
-        req_id = getattr(packet, "req_id", None)
+        req_id = packet.req_id
         request = self._outstanding.pop(req_id, None)
         if request is None:
             raise RuntimeError(f"{self.name} got a response for unknown request {req_id}")
+        now = self.sim.now
         self._h_responses.value += 1
-        self._hist_roundtrip.add(self.now - request.issue_time)
-        request.complete(self.now)
+        self._hist_roundtrip.add(now - request.issue_time)
+        request.complete(now)

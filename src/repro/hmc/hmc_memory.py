@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..mem import HMCAddressMapping, MemoryRequest
+from ..mem import AccessType, HMCAddressMapping, MemoryRequest
 from ..network.faults import FaultInjector
 from ..network.link import LinkConfig
 from ..network.network import MemoryNetwork
@@ -69,6 +69,13 @@ class HMCMemorySystem(Component):
                                        self.mapping, self.net_config)
             controller.connect(self.network)
             self.controllers.append(controller)
+        # access() runs once per block request: bind its cells once.  The
+        # per-access-type byte cells are indexed by ``AccessType._code``
+        # (an enum-keyed dict would hash through a Python-level call).
+        self._h_requests = self.counter_handle("requests")
+        self._h_bytes = self.counter_handle("bytes")
+        self._h_type_bytes = [self.counter_handle(f"bytes.{access_type.value}")
+                              for access_type in AccessType]
 
     def _build_topology(self) -> Topology:
         """Build the configured topology with *exactly* ``num_cubes`` cubes.
@@ -108,9 +115,10 @@ class HMCMemorySystem(Component):
     def access(self, request: MemoryRequest) -> None:
         """Route one cache-miss request through the controller nearest by interleave."""
         controller = self.controller_for_address(request.addr)
-        self.count("requests")
-        self.count("bytes", request.size)
-        self.count(f"bytes.{request.access_type.value}", request.size)
+        size = request.size
+        self._h_requests.value += 1
+        self._h_bytes.value += size
+        self._h_type_bytes[request.access_type._code].value += size
         controller.access(request)
 
     # -- helpers -----------------------------------------------------------------

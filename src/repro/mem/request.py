@@ -9,21 +9,25 @@ from typing import Callable, Optional
 
 
 class AccessType(enum.Enum):
-    """Why a request exists; used to split data-movement statistics."""
+    """Why a request exists; used to split data-movement statistics.
+
+    ``is_write``, ``is_active`` and ``_code`` (a small dense int for
+    list-indexed per-type counters) are plain per-member attributes set
+    below: memory systems read them once per access, and a property or an
+    enum-keyed dict would cost a Python-level call each time.
+    """
 
     NORMAL_READ = "normal_read"
     NORMAL_WRITE = "normal_write"
     OPERAND_READ = "operand_read"       # issued by an Active-Routing engine
     ACTIVE_WRITE = "active_write"       # mov/const_assign Updates committing to memory
 
-    @property
-    def is_write(self) -> bool:
-        return self in (AccessType.NORMAL_WRITE, AccessType.ACTIVE_WRITE)
 
-    @property
-    def is_active(self) -> bool:
-        return self in (AccessType.OPERAND_READ, AccessType.ACTIVE_WRITE)
-
+for _code, _access_type in enumerate(AccessType):
+    _access_type.is_write = _access_type in (AccessType.NORMAL_WRITE, AccessType.ACTIVE_WRITE)
+    _access_type.is_active = _access_type in (AccessType.OPERAND_READ, AccessType.ACTIVE_WRITE)
+    _access_type._code = _code
+del _code, _access_type
 
 _request_ids = itertools.count()
 
@@ -44,7 +48,7 @@ class MemoryRequest:
     issue_time: float = 0.0
     complete_time: float = 0.0
     on_complete: Optional[Callable[["MemoryRequest"], None]] = None
-    req_id: int = field(default_factory=lambda: next(_request_ids))
+    req_id: int = field(default_factory=_request_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.addr < 0:

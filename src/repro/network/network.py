@@ -1,10 +1,11 @@
 """The memory network fabric: links + routing + per-hop delivery.
 
-Every packet travels hop by hop.  At each hop the packet is handed to the
-endpoint registered for that node (an HMC cube or a host-side controller),
-which decides whether to consume it, process it in its Active-Routing engine,
-or ask the network to forward it further.  This per-hop delivery is what lets
-Active-Routing "compute on the way".
+Every packet travels hop by hop.  At each hop an active packet is handed to
+the endpoint registered for that node (an HMC cube or a host-side
+controller), which decides whether to consume it, process it in its
+Active-Routing engine, or ask the network to forward it further.  This
+per-hop delivery is what lets Active-Routing "compute on the way".  A passive
+packet in transit is forwarded by the network itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ class NetworkEndpoint(Protocol):
     node_id: int
 
     def receive_packet(self, packet: Packet, from_node: int) -> None:
-        """Handle a packet that has arrived at this node."""
+        """Handle a packet that has arrived at this node.
+
+        Active packets arrive at every node they cross.  Passive packets
+        arrive only at their destination, except in fault mode, where every
+        hop is delivered and the endpoint forwards passive transit traffic.
+        """
 
 
 class MemoryNetwork(Component):
@@ -86,9 +92,9 @@ class MemoryNetwork(Component):
             fold(f"{self.name}.bytes.{category}",
                  [link._cat_handles[index] for link in links])
         # Fault machinery.  The default configuration never pays for it: the
-        # network starts on the original _hop() fast path and only swaps in
-        # the fault-aware variant when a link actually changes state (or the
-        # routing policy needs per-packet next-hop dispatch).  The dropped
+        # network starts with _hop() on the dense next-hop rows and only turns
+        # on the fault-aware branch when a link actually changes state (or
+        # the routing policy needs per-packet next-hop dispatch).  The dropped
         # counter is created lazily in _enable_fault_mode() — an eager
         # zero-valued cell would perturb the golden stats digests of
         # failure-free runs.
@@ -134,7 +140,7 @@ class MemoryNetwork(Component):
         self._h_injected.value += 1
         if packet.dst == at_node:
             # Local delivery (e.g. operand request for data in the same cube).
-            self.schedule(0.0, lambda: self._deliver(packet, at_node, at_node))
+            self.sim.schedule(0.0, self._deliver, packet, at_node)
             return
         self._hop(packet, at_node)
 
@@ -145,8 +151,64 @@ class MemoryNetwork(Component):
         self._hop(packet, from_node)
 
     def _hop(self, packet: Packet, current: int) -> None:
-        nxt = self._next_rows[current][packet.dst]
-        link = self._link_grid[current][nxt]
+        """Send ``packet`` over one link, from ``current`` toward its destination.
+
+        Until the first link-state change the route is the dense next-hop
+        row and the arrival is scheduled straight at its consumer:
+
+        * a passive packet that has not reached its destination is scheduled
+          back onto this method from the next node (endpoints only ever see
+          passive packets addressed to them, and the mode is read again when
+          the hop fires);
+        * anything else is handed to the next node's endpoint.
+
+        In fault mode (see :meth:`set_link_state`) the route choice is
+        three-way and the arrival goes through :meth:`_arrive_flex`, which
+        applies the drop rule:
+
+        * tree-building packets (Updates, gather requests) always take the
+          **pristine** next-hop row — the flow-tree protocol records those
+          exact hops as parent/child edges, so they must never reroute (a
+          dead pinned link parks them until it recovers);
+        * other packets on a dense policy take the **live** row, which the
+          resilient table recomputes around dead links;
+        * other packets on a per-packet policy go through ``route()``
+          (adaptive's congestion-aware choice).
+
+        An unreachable destination fails loudly instead of indexing a stale
+        row.
+        """
+        dst = packet.dst
+        fault_mode = self._fault_mode
+        if fault_mode:
+            routing = self.routing
+            if packet.ptype.tree_routed:
+                nxt = self._next_rows[current][dst]
+                if nxt < 0:
+                    raise RoutingError(
+                        f"packet {packet.pkt_id}: no route from {current} to {dst}")
+            elif routing.uses_dense_next_hop:
+                nxt = routing.live_next_hop_table[current][dst]
+                if nxt < 0:
+                    raise RoutingError(
+                        f"packet {packet.pkt_id}: no route from {current} to {dst} "
+                        f"over the live links")
+            else:
+                try:
+                    nxt = routing.route(current, dst)
+                except ValueError as exc:
+                    raise RoutingError(f"packet {packet.pkt_id}: {exc}") from None
+            link = self._link_grid[current][nxt]
+            if not link.up:
+                # Submitting onto a down link (only pinned tree traffic can get
+                # here — live routes avoid dead links): park in submission
+                # order, no transmission happens.  Drained at recovery.
+                self._h_dropped.value += 1
+                link._park_blocked.append((packet, current))
+                return
+        else:
+            nxt = self._next_rows[current][dst]
+            link = self._link_grid[current][nxt]
         # Inlined Link.transmit(): one hop is the innermost simulator loop and
         # the extra call frame + result tuple are measurable.  The hop writes
         # its link's cells exactly as transmit() does.
@@ -166,27 +228,27 @@ class MemoryNetwork(Component):
         link._h_bytes.value += size
         link._cat_handles[packet._cat_index].value += size
         link._h_energy_pj.value += size * link._energy_pj_per_byte
-        # The delivery is scheduled as a direct bound receive_packet() call:
-        # the _deliver() wrapper frame is measurable at one call per hop, so
-        # its two jobs move here — the endpoint is resolved at hop time
-        # (endpoints register at construction, before any traffic) and the hop
-        # count is pre-incremented (the packet is owned by the pending
-        # delivery closure, so nothing can observe it in between).  A missing
-        # endpoint still raises when the delivery *fires*, as _deliver() did.
-        endpoint = self._endpoint_list[nxt]
+        # The hop count is pre-incremented: the packet is owned by the pending
+        # arrival, so nothing can observe it in between.  The endpoint is
+        # resolved now (endpoints register at construction, before any
+        # traffic); a missing one still raises when the arrival *fires*.
         packet.hops += 1
-        if endpoint is None:
-            callback = lambda: self._missing_endpoint(packet, nxt)  # noqa: E731
+        if fault_mode:
+            fn, a, b = self._arrive_flex, packet, link
         else:
-            callback = lambda: endpoint.receive_packet(packet, current)  # noqa: E731
-        # Inlined EventQueue.push (delivery times are never negative): one hop
-        # schedules exactly one delivery and the wrapper call is measurable.
+            endpoint = self._endpoint_list[nxt]
+            if endpoint is None:
+                fn, a, b = self._missing_endpoint, packet, nxt
+            elif nxt != dst and not packet.is_active:
+                fn, a, b = self._hop, packet, nxt
+            else:
+                fn, a, b = endpoint.receive_packet, packet, current
+        # Inlined EventQueue.push (arrival times are never negative): one hop
+        # schedules exactly one arrival and the wrapper call is measurable.
         events = self.sim.events
         heapq.heappush(self._event_heap,
-                       [finish + link._latency + self.router_delay, events._seq,
-                        callback])
+                       [finish + link._latency + self.router_delay, events._seq, fn, a, b])
         events._seq += 1
-        events._live += 1
 
     # -- fault handling -------------------------------------------------------
     def set_link_state(self, a: int, b: int, up: bool) -> None:
@@ -196,13 +258,14 @@ class MemoryNetwork(Component):
         (raising :class:`~repro.network.routing.RoutingError`) and in that
         case no state changes at all, so a mis-configured run fails loudly
         instead of forwarding traffic into a silently dead link.  The first
-        state change switches the network onto the fault-aware hop path for
-        the rest of the run (see :meth:`_hop_flex`); redundant transitions
-        are ignored.  One deliberate edge: hops already in flight at that
-        *first* transition were scheduled by the fast path and complete
-        unconditionally — the arrival-instant check applies from fault-mode
-        activation onward (deterministically: activation is itself an event
-        on the ``[time, seq]`` queue).
+        state change switches :meth:`_hop` onto its fault-aware branch for
+        the rest of the run; redundant transitions are ignored.  One
+        deliberate edge: hops already in flight at that *first* transition
+        were scheduled without the arrival-instant check and complete
+        unconditionally — the check applies from fault-mode activation onward
+        (deterministically: activation is itself an event on the ``[time,
+        seq]`` queue).  A passive packet in transit that arrives after the
+        transition takes the fault-aware route for its next hop.
         """
         forward = self._link_grid[a][b]
         reverse = self._link_grid[b][a]
@@ -254,88 +317,13 @@ class MemoryNetwork(Component):
         if not self._fault_mode:
             self._fault_mode = True
             self._h_dropped = self.counter_handle("dropped")
-            # Shadow the class method on the instance: inject()/forward()
-            # look _hop up through self, so every later hop takes the
-            # fault-aware variant without a per-hop mode check.
-            self._hop = self._hop_flex
 
-    def _hop_flex(self, packet: Packet, current: int) -> None:
-        """Fault-aware hop: runtime route dispatch + arrival-instant up check.
-
-        Identical serialization arithmetic and statistics order to
-        :meth:`_hop`; the differences are the route choice and that delivery
-        goes through :meth:`_arrive_flex`, which applies the drop rule.  The
-        route choice is three-way:
-
-        * tree-building packets (Updates, gather requests) always take the
-          **pristine** next-hop row — the flow-tree protocol records those
-          exact hops as parent/child edges, so they must never reroute (a
-          dead pinned link parks them until it recovers);
-        * other packets on a dense policy take the **live** row, which the
-          resilient table recomputes around dead links;
-        * other packets on a per-packet policy go through ``route()``
-          (adaptive's congestion-aware choice).
-
-        An unreachable destination fails loudly instead of indexing a stale
-        row.
-        """
-        routing = self.routing
-        dst = packet.dst
-        if packet.ptype.tree_routed:
-            nxt = self._next_rows[current][dst]
-            if nxt < 0:
-                raise RoutingError(
-                    f"packet {packet.pkt_id}: no route from {current} to {dst}")
-        elif routing.uses_dense_next_hop:
-            nxt = routing.live_next_hop_table[current][dst]
-            if nxt < 0:
-                raise RoutingError(
-                    f"packet {packet.pkt_id}: no route from {current} to {dst} "
-                    f"over the live links")
-        else:
-            try:
-                nxt = routing.route(current, dst)
-            except ValueError as exc:
-                raise RoutingError(f"packet {packet.pkt_id}: {exc}") from None
-        link = self._link_grid[current][nxt]
-        if not link.up:
-            # Submitting onto a down link (only pinned tree traffic can get
-            # here — live routes avoid dead links): park in submission order,
-            # no transmission happens.  Drained at recovery.
-            self._h_dropped.value += 1
-            link._park_blocked.append((packet, current))
-            return
-        size = packet.size
-        serialization = size / link._bandwidth
-        now = self.sim.now
-        start = link.busy_until
-        if start < now:
-            start = now
-        finish = start + serialization
-        link.busy_until = finish
-        queue_delay = start - now
-        if queue_delay > 0:
-            link._queue_wait_cycles.value += queue_delay
-        link._busy_cycles.value += serialization
-        link._h_packets.value += 1
-        link._h_bytes.value += size
-        link._cat_handles[packet._cat_index].value += size
-        link._h_energy_pj.value += size * link._energy_pj_per_byte
-        packet.hops += 1
-        callback = lambda: self._arrive_flex(packet, link, current, nxt)  # noqa: E731
-        arrival = finish + link._latency + self.router_delay
-        events = self.sim.events
-        heapq.heappush(self._event_heap, [arrival, events._seq, callback])
-        events._seq += 1
-        events._live += 1
-
-    def _arrive_flex(self, packet: Packet, link: Link, current: int,
-                     nxt: int) -> None:
+    def _arrive_flex(self, packet: Packet, link: Link) -> None:
         """Deliver a hop, or apply the drop/park rule.
 
         The rule — pinned by tests — is: **a hop is interrupted iff its link
         is down at the instant the packet would use it** (here: the arrival
-        instant; :meth:`_hop_flex` applies the same rule at submission).  An
+        instant; :meth:`_hop` applies the same rule at submission).  An
         interrupted packet parks on the link and is retransmitted from its
         sending node when the link recovers (closed-loop workloads must
         finish; permanent loss would deadlock them) — in-flight casualties
@@ -351,20 +339,21 @@ class MemoryNetwork(Component):
         fraction is derived from.
         """
         if link.up:
-            endpoint = self._endpoint_list[nxt]
+            endpoint = self._endpoint_list[link.dst]
             if endpoint is None:
-                self._missing_endpoint(packet, nxt)
-            endpoint.receive_packet(packet, current)
+                self._missing_endpoint(packet, link.dst)
+            endpoint.receive_packet(packet, link.src)
             return
         self._h_dropped.value += 1
-        link._park_inflight.append((packet, current))
+        link._park_inflight.append((packet, link.src))
 
-    def _deliver(self, packet: Packet, node: int, from_node: int) -> None:
+    def _deliver(self, packet: Packet, node: int) -> None:
+        """Local delivery: ``packet`` was injected at its own destination."""
         packet.hops += 1
         endpoint = self._endpoint_list[node]
         if endpoint is None:
             self._missing_endpoint(packet, node)
-        endpoint.receive_packet(packet, from_node)
+        endpoint.receive_packet(packet, node)
 
     def _missing_endpoint(self, packet: Packet, node: int) -> None:
         raise RuntimeError(f"packet {packet.pkt_id} arrived at node {node} "

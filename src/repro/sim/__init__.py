@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel: event queue, simulator, components, stats."""
 
 from .component import Component, SharedResource
-from .event_queue import EventHandle, EventQueue
+from .event_queue import EventQueue
 from .simulator import SimulationError, Simulator
 from .stats import CounterHandle, Histogram, StatsRegistry, geometric_mean
 
@@ -9,7 +9,6 @@ __all__ = [
     "Component",
     "SharedResource",
     "CounterHandle",
-    "EventHandle",
     "EventQueue",
     "SimulationError",
     "Simulator",

@@ -58,9 +58,6 @@ class Component:
     def now(self) -> float:
         return self.sim.now
 
-    def schedule(self, delay: float, callback, label: Optional[str] = None):
-        return self.sim.schedule(delay, callback, label=label or self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 

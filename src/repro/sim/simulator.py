@@ -15,7 +15,7 @@ import heapq
 from collections import Counter
 from typing import Callable, Optional
 
-from .event_queue import EventHandle, EventQueue
+from .event_queue import EventQueue
 from .stats import StatsRegistry
 
 
@@ -23,7 +23,7 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-def _callback_name(callback: Callable[[], None]) -> str:
+def _callback_name(callback: Callable[..., None]) -> str:
     return getattr(callback, "__qualname__", None) or type(callback).__qualname__
 
 
@@ -45,33 +45,27 @@ class Simulator:
         self._finished = False
 
     # -- scheduling ----------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> None:
-        """Run ``callback`` after ``delay`` cycles (relative to ``now``)."""
+    def schedule(self, delay: float, callback: Callable[..., None],
+                 a: object = None, b: object = None) -> None:
+        """Run ``callback`` after ``delay`` cycles (relative to ``now``):
+        ``callback()`` when ``a`` is ``None``, else ``callback(a, b)``."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         # Inlined EventQueue.push: scheduling runs once per event and the
         # wrapper's negative-time check is subsumed by the delay check.
         events = self.events
-        heapq.heappush(self._heap, [self.now + delay, events._seq, callback])
+        heapq.heappush(self._heap, [self.now + delay, events._seq, callback, a, b])
         events._seq += 1
-        events._live += 1
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> None:
-        """Run ``callback`` at absolute ``time`` (must not be in the past)."""
+    def schedule_at(self, time: float, callback: Callable[..., None],
+                    a: object = None, b: object = None) -> None:
+        """Run ``callback`` at absolute ``time`` (must not be in the past),
+        with the arguments of :meth:`schedule`."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
         events = self.events
-        heapq.heappush(self._heap, [time, events._seq, callback])
+        heapq.heappush(self._heap, [time, events._seq, callback, a, b])
         events._seq += 1
-        events._live += 1
-
-    def schedule_cancellable(self, delay: float, callback: Callable[[], None],
-                             label: str = "") -> EventHandle:
-        """Like :meth:`schedule`, but returns an :class:`EventHandle` so the
-        caller can cancel the event before it fires."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.events.push_handle(self.now + delay, callback, label)
 
     # -- execution -----------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -103,55 +97,49 @@ class Simulator:
         try:
             if until is None:
                 while heap:
-                    entry = heappop(heap)
-                    callback = entry[2]
-                    if callback is None:  # cancelled
-                        continue
-                    entry[2] = None  # make a late cancel() a no-op
-                    events._live -= 1
-                    time = entry[0]
+                    time, _seq, fn, a, b = heappop(heap)
                     if time < self.now:
                         if time < self.now - 1e-9:
                             raise SimulationError(
-                                f"event {callback!r} scheduled at {time} is in the "
+                                f"event {fn!r} scheduled at {time} is in the "
                                 f"past (now={self.now})"
                             )
                     else:
                         self.now = time
                     processed += 1
-                    callback()
+                    if a is None:
+                        fn()
+                    else:
+                        fn(a, b)
                     if processed >= budget:
                         break
             else:
                 while heap:
-                    entry = heap[0]
-                    time = entry[0]
+                    time = heap[0][0]
                     if time > until:
                         self.now = until
                         return until
-                    heappop(heap)
-                    callback = entry[2]
-                    if callback is None:  # cancelled
-                        continue
-                    entry[2] = None  # make a late cancel() a no-op
-                    events._live -= 1
+                    _time, _seq, fn, a, b = heappop(heap)
                     if time < self.now:
                         if time < self.now - 1e-9:
                             raise SimulationError(
-                                f"event {callback!r} scheduled at {time} is in the "
+                                f"event {fn!r} scheduled at {time} is in the "
                                 f"past (now={self.now})"
                             )
                     else:
                         self.now = time
                     processed += 1
-                    callback()
+                    if a is None:
+                        fn()
+                    else:
+                        fn(a, b)
                     if processed >= budget:
                         break
         finally:
             self._executed_events += processed
             # In the finally block so an exception inside a callback cannot
             # leave the previous run's answer behind.
-            self._finished = not events
+            self._finished = not heap
         return self.now
 
     def run_until_idle(self, max_events: int = 50_000_000) -> float:
@@ -171,8 +159,7 @@ class Simulator:
         Error path only: a run that blows its budget is usually one callback
         rescheduling itself, and its qualified name says which.
         """
-        counts = Counter(_callback_name(entry[2]) for entry in self._heap
-                         if entry[2] is not None)
+        counts = Counter(_callback_name(entry[2]) for entry in self._heap)
         top = ", ".join(f"{name} x{count}" for name, count in counts.most_common(3))
         return (f"earliest pending event at cycle {self.events.peek_time()}; "
                 f"most frequent pending callbacks: {top}")

@@ -109,7 +109,14 @@ class Histogram:
         if value > self.maximum:
             self.maximum = value
         if self.keep_samples:
-            self._offer_sample(value)
+            # Inlined _offer_sample() below the cap: one sample per miss,
+            # response and request makes this the common case.
+            samples = self.samples
+            if self.max_samples is None or len(samples) < self.max_samples:
+                self._seen += 1
+                samples.append(value)
+            else:
+                self._offer_sample(value)
 
     def _offer_sample(self, value: float) -> None:
         """Retain ``value`` outright below the cap, else reservoir-replace."""

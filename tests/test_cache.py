@@ -1,6 +1,7 @@
 """Unit tests for the cache hierarchy, directory and MSHR behaviour."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cpu.cache import Cache, CacheHierarchy, Directory
 from repro.cpu.config import CacheConfig, CMPConfig, CoreConfig
@@ -57,6 +58,70 @@ def test_cache_dirty_eviction_reported():
     cache.fill(0, dirty=True)
     victim = cache.fill(2, dirty=False)
     assert victim == (0, True)
+
+
+class _StampLRU:
+    """Reference LRU: every probe and fill bumps a clock; a hit or refill
+    stamps its tag and the victim is the unique minimum stamp."""
+
+    def __init__(self, num_sets, assoc):
+        self.num_sets, self.assoc = num_sets, assoc
+        self.sets = [dict() for _ in range(num_sets)]   # tag -> [stamp, dirty]
+        self.clock = 0
+
+    def lookup(self, block, mark_dirty):
+        entry = self.sets[block % self.num_sets].get(block // self.num_sets)
+        self.clock += 1
+        if entry is None:
+            return False
+        entry[0] = self.clock
+        entry[1] = entry[1] or mark_dirty
+        return True
+
+    def fill(self, block, dirty):
+        cache_set = self.sets[block % self.num_sets]
+        tag = block // self.num_sets
+        self.clock += 1
+        if tag in cache_set:
+            cache_set[tag][0] = self.clock
+            cache_set[tag][1] = cache_set[tag][1] or dirty
+            return None
+        victim = None
+        if len(cache_set) >= self.assoc:
+            victim_tag = min(cache_set, key=lambda t: cache_set[t][0])
+            victim = (victim_tag * self.num_sets + block % self.num_sets,
+                      cache_set.pop(victim_tag)[1])
+        cache_set[tag] = [self.clock, dirty]
+        return victim
+
+    def invalidate(self, block):
+        return self.sets[block % self.num_sets].pop(block // self.num_sets, None) is not None
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.data())
+def test_cache_lru_matches_min_stamp_model(assoc, num_sets, data):
+    """The dict-order LRU agrees with a min-stamp LRU on every hit/miss,
+    victim block and victim dirtiness, for any lookup/fill/invalidate
+    sequence on a small cache.  Blocks come from twice the cache's capacity,
+    so sets overflow and evict often."""
+    ops = data.draw(st.lists(
+        st.tuples(st.sampled_from(["lookup", "fill", "invalidate"]),
+                  st.integers(min_value=0, max_value=2 * assoc * num_sets - 1),
+                  st.booleans()),
+        min_size=40, max_size=160))
+    block_size = 64
+    cache = Cache(assoc * num_sets * block_size, assoc, block_size)
+    model = _StampLRU(num_sets, assoc)
+    for op, block, flag in ops:
+        if op == "lookup":
+            assert cache.lookup(block, mark_dirty=flag) == model.lookup(block, flag)
+        elif op == "fill":
+            assert cache.fill(block, dirty=flag) == model.fill(block, flag)
+        else:
+            assert cache.invalidate(block) == model.invalidate(block)
+        assert cache.contains(block) == (block // num_sets in model.sets[block % num_sets])
+    assert cache.occupancy == sum(len(s) for s in model.sets)
 
 
 def test_cache_validation():

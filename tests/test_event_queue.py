@@ -38,48 +38,11 @@ def test_same_time_preserves_insertion_order(queue):
 def test_negative_time_rejected(queue):
     with pytest.raises(ValueError):
         queue.push(-1.0, lambda: None)
-    with pytest.raises(ValueError):
-        queue.push_handle(-1.0, lambda: None)
+    assert not queue
 
 
 def test_push_returns_nothing_on_fast_path(queue):
     assert queue.push(1.0, lambda: None) is None
-
-
-def test_cancelled_events_are_skipped(queue):
-    fired = []
-    handle = queue.push_handle(1.0, lambda: fired.append("cancelled"))
-    queue.push(2.0, lambda: fired.append("kept"))
-    assert not handle.cancelled
-    handle.cancel()
-    assert handle.cancelled
-    assert len(queue) == 1
-    popped = []
-    while queue:
-        entry = queue.pop()
-        popped.append(entry)
-        entry[2]()
-    assert fired == ["kept"]
-    assert len(popped) == 1
-
-
-def test_cancel_is_idempotent_and_safe_after_fire(queue):
-    fired = []
-    handle = queue.push_handle(1.0, lambda: fired.append("ran"))
-    handle.cancel()
-    handle.cancel()  # double cancel must not corrupt the live count
-    assert len(queue) == 0
-
-    other = queue.push_handle(2.0, lambda: fired.append("other"))
-    queue.pop()[2]()
-    other.cancel()  # cancelling after the event fired is a no-op
-    assert fired == ["other"]
-    assert len(queue) == 0
-
-
-def test_handle_reports_time(queue):
-    handle = queue.push_handle(3.5, lambda: None)
-    assert handle.time == 3.5
 
 
 def test_peek_time_and_len(queue):
@@ -94,37 +57,8 @@ def test_peek_time_and_len(queue):
     assert not queue
 
 
-def test_peek_time_skips_cancelled_head(queue):
-    head = queue.push_handle(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    head.cancel()
-    assert queue.peek_time() == 2.0
-    assert len(queue) == 1
-
-
 def test_pop_empty_returns_none(queue):
     assert queue.pop() is None
-
-
-def test_pop_does_not_share_the_live_entry(queue):
-    """pop() hands back a fresh entry; the stored one is nulled so a late
-    handle cancel cannot corrupt the returned callback."""
-    handle = queue.push_handle(1.0, lambda: None)
-    entry = queue.pop()
-    assert entry[2] is not None
-    handle.cancel()          # fires after the pop: must be a no-op
-    assert entry[2] is not None
-    assert len(queue) == 0
-
-
-def test_cancel_after_clear_is_safe(queue):
-    handle = queue.push_handle(1.0, lambda: None)
-    queue.clear()
-    handle.cancel()          # must not corrupt the live count
-    assert len(queue) == 0
-    queue.push(2.0, lambda: None)
-    assert len(queue) == 1
-    assert queue
 
 
 def test_push_behind_a_popped_time_still_pops_in_order(queue):
@@ -157,33 +91,25 @@ def test_pop_order_is_always_nondecreasing(make_queue, times):
 _EVENT_TIMES = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("push"), _EVENT_TIMES, st.booleans()),
+        st.tuples(st.just("push"), _EVENT_TIMES),
         st.tuples(st.just("pop")),
         st.tuples(st.just("peek")),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
     ),
     min_size=1, max_size=150,
 )
 
 
 class _SortedListModel:
-    """Reference model: every live event in one list kept sorted by
-    ``(time, seq)``; cancelling removes the entry outright."""
+    """Reference model: every pending event in one list kept sorted by
+    ``(time, seq)``."""
 
     def __init__(self):
         self.entries = []
         self.seq = 0
 
     def push(self, time):
-        key = (time, self.seq)
+        bisect.insort(self.entries, (time, self.seq))
         self.seq += 1
-        bisect.insort(self.entries, key)
-        return key
-
-    def cancel(self, key):
-        index = bisect.bisect_left(self.entries, key)
-        if index < len(self.entries) and self.entries[index] == key:
-            del self.entries[index]
 
     def pop(self):
         return self.entries.pop(0) if self.entries else None
@@ -194,30 +120,21 @@ class _SortedListModel:
 
 @given(_OPS)
 def test_event_queue_matches_sorted_list_model(ops):
-    """Any interleaving of push, push_handle, cancel, pop and peek_time pops
-    the same ``[time, seq]`` sequence, and keeps the same live count, as a
-    sorted-list model of the ordering contract."""
+    """Any interleaving of push, pop and peek_time pops the same ``[time,
+    seq]`` sequence, and keeps the same pending count, as a sorted-list model
+    of the ordering contract."""
     queue, model = EventQueue(), _SortedListModel()
-    handles = []
     for op in ops:
         if op[0] == "push":
-            _, time, with_handle = op
-            key = model.push(time)
-            if with_handle:
-                handles.append((queue.push_handle(time, lambda: None), key))
-            else:
-                queue.push(time, lambda: None)
+            model.push(op[1])
+            queue.push(op[1], lambda: None)
         elif op[0] == "pop":
             entry, expected = queue.pop(), model.pop()
             assert (entry is None) == (expected is None)
             if entry is not None:
                 assert tuple(entry[:2]) == expected
-        elif op[0] == "peek":
+        else:
             assert queue.peek_time() == model.peek_time()
-        elif handles:  # cancel, possibly of an event that already fired
-            handle, key = handles.pop(op[1] % len(handles))
-            handle.cancel()
-            model.cancel(key)
         assert len(queue) == len(model.entries)
         assert bool(queue) == bool(model.entries)
     while True:

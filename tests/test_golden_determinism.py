@@ -141,6 +141,26 @@ def test_degraded_golden_fixed_failure_seed(net):
     assert system.sim.stats.snapshot()["network.dropped"] > 0
 
 
+#: Fixed-seed degraded golden on the passive path: HMC pagerank/tiny with
+#: random link faults (resilient routing, rate 100 per 10k cycles, seed 7),
+#: captured before passive packets in transit were scheduled straight onto
+#: the network's hop path.  A transit hop in flight when fault mode switches
+#: on must take the fault-aware route when it fires; binding the fault-free
+#: route when the hop is pushed changes this cell's events and digest.
+DEGRADED_HMC_GOLDEN = (2494.264993259319, 879,
+                       "85f8f236f9d26937e550d67a51a20f69e3a96ae7fbabfca685e0caa852f2f799")
+
+
+def test_degraded_hmc_golden_fixed_failure_seed():
+    system = run_tiny_pagerank("HMC", net=dict(routing="resilient", failure_rate=100.0,
+                                               failure_seed=7))
+    cycles, events, digest = DEGRADED_HMC_GOLDEN
+    assert system.sim.now == cycles
+    assert system.sim.executed_events == events
+    assert snapshot_digest(system.sim.stats) == digest
+    assert system.sim.stats.snapshot()["network.dropped"] > 0
+
+
 @pytest.mark.parametrize("summary", ["reservoir"])
 @pytest.mark.parametrize("kind", ["HMC", "ARF-tid"])
 def test_golden_digest_holds_under_every_summary_backend(kind, summary):

@@ -76,6 +76,19 @@ def test_cube_rejects_active_packet_without_engine(sim, hmc_memory):
         cube.receive_packet(packet, from_node=16)
 
 
+def test_cube_rejects_a_request_packet_without_an_address(sim, hmc_memory):
+    """A bare read request has no address or request id: serving it must
+    fail, not read address 0 and answer request 0."""
+    from repro.network.packet import Packet
+
+    cube = hmc_memory.cubes[0]
+    packet = Packet(PacketType.READ_REQ, src=16, dst=cube.node_id)
+    with pytest.raises(AttributeError):
+        cube.receive_packet(packet, from_node=16)
+    assert sim.stats.counter(f"{cube.name}.local_accesses") == 0
+    assert not sim.events
+
+
 def test_controller_interleaving(hmc_memory):
     controllers = {hmc_memory.controller_for_address(page * 4096).port_id
                    for page in range(32)}

@@ -60,13 +60,6 @@ def test_finished_updates_on_bounded_runs(sim):
     assert sim.finished
 
 
-def test_finished_true_when_only_cancelled_events_remain_beyond_bound(sim):
-    handle = sim.schedule_cancellable(100, lambda: None)
-    handle.cancel()
-    sim.run(until=10)
-    assert sim.finished              # nothing live remains
-
-
 def test_finished_updates_when_a_callback_raises(sim):
     """An exception escaping a callback must not leave `finished` reporting
     the previous run's outcome (regression: it was only set on the normal
@@ -121,7 +114,7 @@ def test_run_until_idle_guards_against_runaway(sim):
 
 def test_run_until_idle_diagnoses_the_runaway_callback():
     """A blown budget names the earliest pending time and the most frequent
-    live pending callbacks; cancelled entries are not counted."""
+    pending callbacks."""
     sim = Simulator()
 
     def rearm():
@@ -133,7 +126,6 @@ def test_run_until_idle_diagnoses_the_runaway_callback():
     sim.schedule(1, rearm)
     sim.schedule(1000, straggler)
     sim.schedule(2000, straggler)
-    sim.schedule_cancellable(500, lambda: None).cancel()
     with pytest.raises(SimulationError) as excinfo:
         sim.run_until_idle(max_events=100)
     message = str(excinfo.value)
@@ -182,77 +174,35 @@ def test_reset_clears_state(sim):
     assert seen == [2]
 
 
-def test_schedule_cancellable_forwards_label(sim):
-    handle = sim.schedule_cancellable(5.0, lambda: None, label="flow-timeout")
-    assert handle.label == "flow-timeout"
-    handle.cancel()
-    assert handle.cancelled
-    # The unlabeled form keeps working and defaults to an empty label.
-    assert sim.schedule_cancellable(1.0, lambda: None).label == ""
-
-
-def test_cancel_across_reset_is_inert(sim):
-    """A handle held across Simulator.reset() must see its event as gone and
-    stay a no-op instead of corrupting the live count."""
-    fired = []
-    handle = sim.schedule_cancellable(5, lambda: fired.append("stale"))
-    sim.reset()
-    assert handle.cancelled
-    handle.cancel()
-    handle.cancel()
-    sim.schedule(1, lambda: fired.append("fresh"))
-    sim.run_until_idle()
-    assert fired == ["fresh"]
-    assert len(sim.events) == 0
-    assert sim.finished
-
-
-def test_cancelled_event_skipped_by_run_loop(sim):
-    """The fused run loop must skip cancelled entries without dispatching
-    or counting them."""
-    fired = []
-    handle = sim.schedule_cancellable(5, lambda: fired.append("cancelled"))
-    sim.schedule(6, lambda: fired.append("kept"))
-    handle.cancel()
-    sim.run_until_idle()
-    assert fired == ["kept"]
-    assert sim.executed_events == 1
-
-
 def test_backends_execute_identically(sim):
-    """One seeded mixed workload of schedules + cancellations must land on
-    the same trace and final time when replayed on a fresh simulator."""
-    trace = []
+    """One seeded mixed workload of plain schedules and argument-carrying
+    schedules must land on the same trace and final time when replayed on a
+    fresh simulator, with the side events interleaved by ``[time, seq]``."""
 
-    def spawner(depth):
-        trace.append((sim.now, depth))
-        if depth < 40:
-            sim.schedule((depth * 7) % 13 + 0.25, lambda: spawner(depth + 1))
-            handle = sim.schedule_cancellable((depth * 3) % 5 + 1,
-                                              lambda: trace.append(("x", depth)))
-            if depth % 3:
-                handle.cancel()
+    def replay(simulator):
+        trace = []
 
-    sim.schedule(0.5, lambda: spawner(0))
-    sim.run_until_idle()
+        def mark(tag, depth):
+            trace.append((tag, depth))
+
+        def spawner(depth):
+            trace.append((simulator.now, depth))
+            if depth < 40:
+                simulator.schedule((depth * 7) % 13 + 0.25, lambda: spawner(depth + 1))
+                if depth % 3 == 0:
+                    simulator.schedule((depth * 3) % 5 + 1, mark, "x", depth)
+
+        simulator.schedule(0.5, lambda: spawner(0))
+        simulator.run_until_idle()
+        return trace
+
+    trace = replay(sim)
     reference_sim = Simulator()
-    reference = []
-
-    def ref_spawner(depth):
-        reference.append((reference_sim.now, depth))
-        if depth < 40:
-            reference_sim.schedule((depth * 7) % 13 + 0.25,
-                                   lambda: ref_spawner(depth + 1))
-            handle = reference_sim.schedule_cancellable(
-                (depth * 3) % 5 + 1, lambda: reference.append(("x", depth)))
-            if depth % 3:
-                handle.cancel()
-
-    reference_sim.schedule(0.5, lambda: ref_spawner(0))
-    reference_sim.run_until_idle()
+    reference = replay(reference_sim)
     assert trace == reference
+    assert ("x", 39) in trace and ("x", 40) not in trace
     assert sim.now == reference_sim.now
-    assert sim.executed_events == reference_sim.executed_events
+    assert sim.executed_events == reference_sim.executed_events == 41 + 14
 
 
 def test_scheduler_backend_selection():
