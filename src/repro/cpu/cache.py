@@ -153,7 +153,7 @@ class CacheHierarchy(Component):
         self._h_prefetches = self.counter_handle("prefetches")
         #: Per core, the NoC hop distance from its tile to each L2 bank's tile.
         self._l2_hops: List[List[int]] = [
-            [noc.hop_table[noc.core_tile(core)][noc.bank_tile(bank)]
+            [noc.hops(noc.core_tile(core), noc.bank_tile(bank))
              for bank in range(cc.l2_banks)]
             for core in range(config.num_cores)]
 
@@ -191,10 +191,9 @@ class CacheHierarchy(Component):
             return cc.l1_latency + coherence_penalty
 
         self._h_l1_misses.value += 1
-        # L2 probe (S-NUCA bank across the mesh): MeshNoC.round_trip() with a
-        # 16-byte request and a block-sized response, from the precomputed
-        # hop distance.  It writes the NoC's cells in round_trip()'s order,
-        # so the accumulated floats match exactly.
+        # L2 probe (S-NUCA bank across the mesh): a 16-byte request and a
+        # block-sized response over the precomputed hop distance, accounted
+        # in the NoC's cells as two one-way transfers.
         noc = self.noc
         hops = self._l2_hops[core_id][block % cc.l2_banks]
         resp_bytes = cc.block_size

@@ -15,7 +15,6 @@ count (and therefore Python run time) manageable.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa import (
@@ -99,13 +98,7 @@ class Core(Component):
         if self._advance_scheduled:
             return
         self._advance_scheduled = True
-        # Inlined Simulator.schedule (the delay is never negative): every
-        # issue batch and every wake-up schedules one advance.
-        sim = self.sim
-        events = sim.events
-        heapq.heappush(events._heap,
-                       [sim.now + delay, events._seq, self._advance, None, None])
-        events._seq += 1
+        self.sim.schedule(delay, self._advance)
 
     def _block(self, reason: str) -> None:
         self.blocked_reason = reason

@@ -24,17 +24,13 @@ class MeshNoC(Component):
         self.cols = cols
         self.hop_latency = hop_latency
         self.energy_pj_per_byte_hop = energy_pj_per_byte_hop
-        # Pre-bind the traffic counters (the cache hierarchy writes them once
-        # per L2 probe).
+        # The traffic cells.  The cache hierarchy accounts each L2 probe (a
+        # request/response round trip) into them, from a hop distance it
+        # precomputes with :meth:`hops`.
         self._h_transfers = self.counter_handle("transfers")
         self._h_byte_hops = self.counter_handle("byte_hops")
         self._h_bytes = self.counter_handle("bytes")
         self._h_energy_pj = self.counter_handle("energy_pj")
-        #: ``hop_table[src_tile][dst_tile]``: :meth:`hops` for every tile pair,
-        #: so a per-access caller resolves a distance with one lookup.
-        self.hop_table: List[List[int]] = [
-            [self.hops(src, dst) for dst in range(self.num_tiles)]
-            for src in range(self.num_tiles)]
 
     @property
     def num_tiles(self) -> int:
@@ -69,31 +65,3 @@ class MeshNoC(Component):
     def mc_tile(self, mc_id: int) -> int:
         corners = self.corner_tiles()
         return corners[mc_id % len(corners)]
-
-    def transfer(self, src_tile: int, dst_tile: int, size_bytes: int) -> float:
-        """Account a one-way transfer and return its latency in cycles."""
-        hops = self.hops(src_tile, dst_tile)
-        latency = hops * self.hop_latency
-        self._h_transfers.value += 1
-        self._h_byte_hops.value += size_bytes * hops
-        self._h_bytes.value += size_bytes
-        self._h_energy_pj.value += size_bytes * hops * self.energy_pj_per_byte_hop
-        return latency
-
-    def round_trip(self, src_tile: int, dst_tile: int, req_bytes: int, resp_bytes: int) -> float:
-        """Request/response pair latency between two tiles.
-
-        Equivalent to two :meth:`transfer` calls (the stat updates are kept as
-        separate additions so the accumulated floats match exactly).  The
-        cache hierarchy's per-probe copy reads :attr:`hop_table` instead.
-        """
-        hops = self.hops(src_tile, dst_tile)
-        latency = hops * self.hop_latency
-        self._h_transfers.value += 2
-        self._h_byte_hops.value += req_bytes * hops
-        self._h_byte_hops.value += resp_bytes * hops
-        self._h_bytes.value += req_bytes
-        self._h_bytes.value += resp_bytes
-        self._h_energy_pj.value += req_bytes * hops * self.energy_pj_per_byte_hop
-        self._h_energy_pj.value += resp_bytes * hops * self.energy_pj_per_byte_hop
-        return latency + latency

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from typing import List
 
 from ..mem import AccessType, DRAMAddressMapping, MemoryRequest
@@ -61,12 +60,8 @@ class DRAMSystem(Component):
         self._h_type_bytes[access_type._code].value += size
         self._h_energy_pj.value += size * 8 * self.ENERGY_PJ_PER_BIT
         self._hist_latency.add(finish - now)
-        # Inlined Simulator.schedule_at (the finish is never in the past);
-        # the unbound method takes (request, finish) as the event's arguments.
-        events = self.sim.events
-        heapq.heappush(events._heap,
-                       [finish, events._seq, MemoryRequest.complete, request, finish])
-        events._seq += 1
+        # The unbound method takes (request, finish) as the event's arguments.
+        self.sim.schedule_at(finish, MemoryRequest.complete, request, finish)
 
     def peak_bandwidth_bytes_per_cycle(self) -> float:
         """Aggregate peak data-bus bandwidth across channels."""

@@ -1,9 +1,10 @@
 """A Hybrid Memory Cube: vaults + crossbar switch + (optionally) an Active-Routing engine.
 
 The cube is a memory-network endpoint.  Passive read/write packets destined to
-it are serviced by the appropriate vault and answered with a response packet;
-packets in transit are forwarded; active packets are handed to the cube's
-Active-Routing engine when one is installed (ART/ARF configurations).
+it are serviced by the appropriate vault and answered with a response packet
+(the network forwards passive packets in transit without involving the cube);
+active packets are handed to the cube's Active-Routing engine when one is
+installed (ART/ARF configurations).
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ class HMCCube(Component):
                 raise RuntimeError(
                     f"{are.name} cannot handle packet type {packet.ptype}")
             handler(packet, from_node)
-            return
-        if packet.dst != self.node_id:
-            assert self.network is not None, "cube is not connected to a network"
-            self.network.forward(packet, self.node_id)
             return
         self._serve_memory_packet(packet)
 

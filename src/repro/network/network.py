@@ -29,8 +29,8 @@ class NetworkEndpoint(Protocol):
         """Handle a packet that has arrived at this node.
 
         Active packets arrive at every node they cross.  Passive packets
-        arrive only at their destination, except in fault mode, where every
-        hop is delivered and the endpoint forwards passive transit traffic.
+        arrive only at their destination: the network forwards them in
+        transit itself.
         """
 
 
@@ -145,7 +145,7 @@ class MemoryNetwork(Component):
         self._hop(packet, at_node)
 
     def forward(self, packet: Packet, from_node: int) -> None:
-        """Continue routing a packet that an endpoint chose not to consume."""
+        """Continue routing an active packet that an endpoint chose not to consume."""
         if packet.dst == from_node:
             raise ValueError(f"packet {packet.pkt_id} already at destination {from_node}")
         self._hop(packet, from_node)
@@ -157,14 +157,13 @@ class MemoryNetwork(Component):
         row and the arrival is scheduled straight at its consumer:
 
         * a passive packet that has not reached its destination is scheduled
-          back onto this method from the next node (endpoints only ever see
-          passive packets addressed to them, and the mode is read again when
-          the hop fires);
+          back onto this method from the next node (the mode is read again
+          when the hop fires);
         * anything else is handed to the next node's endpoint.
 
-        In fault mode (see :meth:`set_link_state`) the route choice is
-        three-way and the arrival goes through :meth:`_arrive_flex`, which
-        applies the drop rule:
+        In fault mode (see :meth:`set_link_state`) the arrival goes through
+        :meth:`_arrive_flex`, which applies the drop rule before making the
+        same transit/endpoint split, and the route choice is three-way:
 
         * tree-building packets (Updates, gather requests) always take the
           **pristine** next-hop row — the flow-tree protocol records those
@@ -339,10 +338,14 @@ class MemoryNetwork(Component):
         fraction is derived from.
         """
         if link.up:
-            endpoint = self._endpoint_list[link.dst]
+            node = link.dst
+            endpoint = self._endpoint_list[node]
             if endpoint is None:
-                self._missing_endpoint(packet, link.dst)
-            endpoint.receive_packet(packet, link.src)
+                self._missing_endpoint(packet, node)
+            if node != packet.dst and not packet.is_active:
+                self._hop(packet, node)
+            else:
+                endpoint.receive_packet(packet, link.src)
             return
         self._h_dropped.value += 1
         link._park_inflight.append((packet, link.src))

@@ -110,11 +110,12 @@ class Histogram:
             self.maximum = value
         if self.keep_samples:
             # Inlined _offer_sample() below the cap: one sample per miss,
-            # response and request makes this the common case.
-            samples = self.samples
-            if self.max_samples is None or len(samples) < self.max_samples:
+            # response and request makes this the common case.  ``_seen``
+            # bounds ``len(samples)`` from above, so a count below the cap
+            # means room without a len() call; _offer_sample() rechecks.
+            if self.max_samples is None or self._seen < self.max_samples:
                 self._seen += 1
-                samples.append(value)
+                self.samples.append(value)
             else:
                 self._offer_sample(value)
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cpu import MeshNoC
+from repro.cpu.cache import CacheHierarchy
+from repro.cpu.config import CacheConfig, CMPConfig, CoreConfig
 from repro.sim import Simulator
 
 
@@ -27,13 +29,24 @@ def test_corner_tiles_and_mc_placement(sim):
 
 
 def test_transfer_latency_and_energy(sim):
+    """Each L2 probe is a 16-byte request and a block-sized response between
+    the core's tile and the bank's tile, accounted in the NoC's cells."""
+    config = CMPConfig(num_cores=1, mesh_rows=2, mesh_cols=2, core=CoreConfig(),
+                       cache=CacheConfig(l1_size=1024, l1_assoc=2, l2_size=4096,
+                                         l2_assoc=4, l2_banks=4, prefetch_degree=0))
+    cc = config.cache
     noc = MeshNoC(sim, rows=2, cols=2, hop_latency=3.0, energy_pj_per_byte_hop=1.0)
-    latency = noc.transfer(0, 3, size_bytes=64)
-    assert latency == 2 * 3.0
-    assert sim.stats.counter("noc.byte_hops") == 128
-    assert sim.stats.counter("noc.energy_pj") == 128
-    rt = noc.round_trip(0, 3, 16, 64)
-    assert rt == pytest.approx(2 * 2 * 3.0)
+    cache = CacheHierarchy(sim, config, noc, memory_system=None)
+    block = 3                                  # L2 bank 3, on tile 3
+    assert noc.hops(noc.core_tile(0), noc.bank_tile(block % cc.l2_banks)) == 2
+    cache.l2.fill(block)
+    latency = cache.access(0, addr=block * cc.block_size, is_write=False)
+    assert latency == cc.l1_latency + cc.l2_latency + 2 * 2 * 3.0
+    moved = 16 + cc.block_size
+    assert sim.stats.counter("noc.transfers") == 2
+    assert sim.stats.counter("noc.bytes") == moved
+    assert sim.stats.counter("noc.byte_hops") == 2 * moved
+    assert sim.stats.counter("noc.energy_pj") == 2 * moved
 
 
 def test_invalid_mesh(sim):
