@@ -145,7 +145,7 @@ def estimated_cost(workload: str, params: Dict[str, object], kind: SystemKind) -
 
 
 def _job_cost(job: Job) -> float:
-    """Static heuristic cost of one job (fallback when nothing was measured)."""
+    """Static heuristic cost of one job (see :func:`estimated_cost`)."""
     _key, config, workload, params = job
     name = workload if isinstance(workload, str) else workload.name
     return estimated_cost(name, params, config.kind)
@@ -256,41 +256,11 @@ class EvaluationSuite:
     def _cache_put(self, workload: str, config_label: str,
                    params: Dict[str, object], result: RunResult) -> None:
         if self.cache is not None:
-            key = self._cache_key(workload, config_label, params)
-            self.cache.put(key, result)
-            wall_s = result.metadata.get("wall_s")
-            if isinstance(wall_s, (int, float)) and wall_s > 0:
-                # Feed the measured wall time back into the scheduler's cost
-                # model (digest-independent, so it survives code edits).
-                self.cache.record_cost(key, wall_s)
-
-    # -- job-cost model ------------------------------------------------------------
-    def _job_costs(self, jobs: List[Job]) -> List[float]:
-        """Scheduling cost per job: measured wall seconds where the cost
-        sidecar has them, otherwise the static heuristic calibrated into
-        seconds via the median measured/static ratio (pure heuristic when
-        nothing was ever measured)."""
-        statics = [_job_cost(job) for job in jobs]
-        if self.cache is None:
-            return statics
-        measured: List[Optional[float]] = []
-        for (key, _config, _workload, params) in jobs:
-            measured.append(self.cache.measured_cost(
-                self._cache_key(key[0], key[1], params)))
-        ratios = sorted(m / s for m, s in zip(measured, statics)
-                        if m is not None and s > 0)
-        if not ratios:
-            return statics
-        seconds_per_unit = ratios[len(ratios) // 2]
-        return [m if m is not None else s * seconds_per_unit
-                for m, s in zip(measured, statics)]
+            self.cache.put(self._cache_key(workload, config_label, params), result)
 
     def _order_jobs(self, jobs: List[Job]) -> List[Job]:
         """Most expensive first, ties broken deterministically by key."""
-        costs = self._job_costs(jobs)
-        order = sorted(range(len(jobs)),
-                       key=lambda index: (-costs[index], jobs[index][0]))
-        return [jobs[index] for index in order]
+        return sorted(jobs, key=lambda job: (-_job_cost(job), job[0]))
 
     # -- running -----------------------------------------------------------------
     def result(self, workload: str, kind: "SystemKind | str") -> RunResult:

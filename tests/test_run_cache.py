@@ -12,8 +12,7 @@ from repro.experiments import (
     estimated_cost,
     full_report,
 )
-from repro.experiments.run_cache import (COST_EWMA_ALPHA, default_cache_dir,
-                                         machine_fingerprint)
+from repro.experiments.run_cache import default_cache_dir
 from repro.system import AR_CONFIGS, CONFIG_ORDER, SystemKind, normalize_workers
 
 
@@ -91,233 +90,16 @@ def test_prune_drops_orphaned_tmp_and_stale_entries(tmp_path):
     live.write_bytes(b"in flight")
 
     summary = cache.prune()
-    assert summary == {"tmp_removed": 2, "stale_removed": 2, "kept": 1,
-                       "cost_other_machines": 0}
+    assert summary == {"tmp_removed": 2, "stale_removed": 2, "kept": 1}
     assert cache.get(_key()) == "fresh"      # the current-digest entry survives
     assert live.exists()                     # a live writer's tmp file is left alone
     assert sorted(p.name for p in tmp_path.glob("*.tmp*")) == [live.name]
-    assert cache.prune() == {"tmp_removed": 0, "stale_removed": 0, "kept": 1,
-                             "cost_other_machines": 0}
+    assert cache.prune() == {"tmp_removed": 0, "stale_removed": 0, "kept": 1}
 
 
 def test_prune_on_missing_directory_is_a_noop(tmp_path):
     cache = RunCache(tmp_path / "never-created")
-    assert cache.prune() == {"tmp_removed": 0, "stale_removed": 0, "kept": 0,
-                             "cost_other_machines": 0}
-
-
-def test_prune_reports_foreign_cost_sections_but_keeps_them(tmp_path):
-    """Wall-time estimates recorded by other machine fingerprints are counted
-    in the prune summary yet left on disk: a shared cache directory is
-    legitimate, and foreign sections never feed this machine's cost model."""
-    import json
-
-    cache = RunCache(tmp_path)
-    cache.record_cost(_key(), 2.5)
-    data = json.loads((tmp_path / "costs.json").read_text())
-    data["feedfacefeedface0"] = {"job-a": 9.0, "job-b": 1.0}
-    data["deadbeefdeadbeef0"] = {"job-c": 4.0}
-    (tmp_path / "costs.json").write_text(json.dumps(data))
-
-    summary = cache.prune()
-    assert summary["cost_other_machines"] == 3
-    after = json.loads((tmp_path / "costs.json").read_text())
-    assert after == data                     # reported, not removed
-    assert RunCache(tmp_path).measured_cost(_key()) == 2.5
-
-
-# -- measured-cost sidecar -------------------------------------------------------
-
-def test_cost_sidecar_roundtrip_and_digest_independence(tmp_path):
-    cache = RunCache(tmp_path)
-    key = _key()
-    assert cache.measured_cost(key) is None
-    cache.record_cost(key, 2.5)
-    assert cache.measured_cost(key) == 2.5
-    # Costs survive a code-digest change: same job, different digest.
-    assert cache.measured_cost(_key(digest="0" * 64)) == 2.5
-    # A fresh handle re-reads the sidecar from disk.
-    assert RunCache(tmp_path).measured_cost(key) == 2.5
-    # Different jobs have independent costs.
-    assert cache.measured_cost(_key(workload="lud")) is None
-    cache.record_cost(key, 4.0)              # EWMA merge, not last-write-wins
-    expected = 2.5 + COST_EWMA_ALPHA * (4.0 - 2.5)
-    assert RunCache(tmp_path).measured_cost(key) == pytest.approx(expected)
-
-
-def test_cost_sidecar_is_keyed_by_machine_fingerprint(tmp_path):
-    """The sidecar nests every EWMA under the recording machine's fingerprint,
-    so cost tables from different machines sharing one cache directory never
-    blend into a single estimate."""
-    import json
-
-    cache = RunCache(tmp_path)
-    key = _key()
-    cache.record_cost(key, 2.5)
-    data = json.loads((tmp_path / "costs.json").read_text())
-    assert list(data) == [machine_fingerprint()]
-    assert cache.cost_key_for(key) in data[machine_fingerprint()]
-    # Another machine's section is invisible to this machine's lookups.
-    data["feedfacefeedface0"] = {cache.cost_key_for(_key(workload="lud")): 9.0}
-    (tmp_path / "costs.json").write_text(json.dumps(data))
-    fresh = RunCache(tmp_path)
-    assert fresh.measured_cost(key) == 2.5
-    assert fresh.measured_cost(_key(workload="lud")) is None
-    # And a write from this machine preserves the foreign section on disk.
-    fresh.record_cost(_key(workload="lud"), 3.0)
-    merged = json.loads((tmp_path / "costs.json").read_text())
-    assert merged["feedfacefeedface0"] == data["feedfacefeedface0"]
-    assert fresh.measured_cost(_key(workload="lud")) == 3.0
-
-
-def test_cost_sidecar_migrates_legacy_flat_entries(tmp_path):
-    """A pre-fingerprint flat ``{job: ewma}`` sidecar is attributed to the
-    current machine on read and persisted in the keyed shape on first write."""
-    import json
-
-    cache = RunCache(tmp_path)
-    key = _key()
-    legacy = {cache.cost_key_for(key): 2.0}
-    (tmp_path / "costs.json").write_text(json.dumps(legacy))
-    assert cache.measured_cost(key) == 2.0          # readable before migration
-    cache.record_cost(key, 2.0)                     # first write migrates
-    data = json.loads((tmp_path / "costs.json").read_text())
-    assert list(data) == [machine_fingerprint()]
-    assert data[machine_fingerprint()][cache.cost_key_for(key)] == 2.0
-    assert RunCache(tmp_path).measured_cost(key) == 2.0
-
-
-def test_cost_sidecar_ewma_absorbs_one_outlier(tmp_path):
-    """One slow outlier run must nudge, not replace, the cost estimate, so
-    prefetch scheduling keeps a sane ordering afterwards."""
-    cache = RunCache(tmp_path)
-    key = _key()
-    for _ in range(4):
-        cache.record_cost(key, 2.0)
-    assert cache.measured_cost(key) == pytest.approx(2.0)
-    cache.record_cost(key, 100.0)            # a loaded-machine outlier
-    outlier_view = cache.measured_cost(key)
-    assert outlier_view == pytest.approx(2.0 + COST_EWMA_ALPHA * 98.0)
-    assert outlier_view < 100.0 / 2          # far closer to truth than the outlier
-    cache.record_cost(key, 2.0)              # one normal run pulls it back down
-    assert cache.measured_cost(key) < outlier_view
-
-
-def _record_batch(root, start, count):
-    """Worker for the concurrency test: record ``count`` distinct job costs."""
-    cache = RunCache(root)
-    for index in range(start, start + count):
-        cache.record_cost(_key(workload=f"w{index}"), float(index + 1))
-
-
-def test_concurrent_record_cost_never_clobbers_entries(tmp_path):
-    """Regression for the read-modify-write race: sessions recording costs in
-    parallel must all land in costs.json (the fcntl lock serializes the whole
-    cycle; before it, one session's write could erase another's wholesale)."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    per_worker = 8
-    workers = [ctx.Process(target=_record_batch, args=(tmp_path, n * per_worker, per_worker))
-               for n in range(3)]
-    for proc in workers:
-        proc.start()
-    for proc in workers:
-        proc.join(timeout=60)
-        assert proc.exitcode == 0
-    cache = RunCache(tmp_path)
-    for index in range(3 * per_worker):
-        assert cache.measured_cost(_key(workload=f"w{index}")) == float(index + 1)
-
-
-def test_record_cost_failure_leaves_no_tmp_litter(tmp_path, monkeypatch):
-    """A write failure inside record_cost must unlink costs.json.tmp<pid>
-    (the sidecar twin of the RunCache.put fix) and stay advisory."""
-    cache = RunCache(tmp_path)
-    cache.record_cost(_key(), 2.0)
-
-    def broken_replace(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", broken_replace)
-    cache.record_cost(_key(workload="lud"), 5.0)  # swallowed, sidecar advisory
-    monkeypatch.undo()
-    assert list(tmp_path.glob("*.tmp*")) == []
-    fresh = RunCache(tmp_path)
-    assert fresh.measured_cost(_key()) == 2.0     # old contents intact
-    assert fresh.measured_cost(_key(workload="lud")) is None
-
-
-def test_prune_sweeps_cost_sidecar_tmp_litter(tmp_path):
-    """prune() collects costs.json.tmp<pid> files of dead writers but leaves
-    the sidecar itself and its lock file alone."""
-    cache = RunCache(tmp_path)
-    cache.record_cost(_key(), 3.0)
-    dead = tmp_path / f"costs.json.tmp{2**22 - 1}"   # above default pid_max
-    dead.write_text("{}")
-    live = tmp_path / f"costs.json.tmp{os.getpid()}"
-    live.write_text("{}")
-    summary = cache.prune()
-    assert summary["tmp_removed"] == 1
-    assert not dead.exists()
-    assert live.exists()                      # a live writer's tmp is kept
-    assert (tmp_path / "costs.json").exists()
-    assert (tmp_path / "costs.json.lock").exists()
-    assert RunCache(tmp_path).measured_cost(_key()) == 3.0
-
-
-def test_cost_sidecar_ignores_garbage(tmp_path):
-    cache = RunCache(tmp_path)
-    cache.record_cost(_key(), 0.0)           # non-positive costs are dropped
-    cache.record_cost(_key(), -1.0)
-    assert cache.measured_cost(_key()) is None
-    (tmp_path / "costs.json").write_text("[1, 2, 3]")
-    assert RunCache(tmp_path).measured_cost(_key()) is None
-    (tmp_path / "costs.json").write_text("{garbage")
-    assert RunCache(tmp_path).measured_cost(_key()) is None
-
-
-def test_suite_records_costs_and_orders_by_measured_time(tmp_path):
-    kinds = [SystemKind.DRAM, SystemKind.HMC]
-    suite = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
-                            cache_dir=tmp_path)
-    suite.prefetch(figures=["speedup"])
-    # Every simulated pair fed the sidecar a positive measured wall time.
-    for kind in kinds:
-        key = suite._cache_key("mac", kind.value, suite.scale.params_for("mac"))
-        assert suite.cache.measured_cost(key) > 0
-
-    # A fresh suite (results evicted, costs kept) orders pending jobs by the
-    # measured times, even where they contradict the static heuristic: make
-    # the DRAM run look 100x more expensive than HMC.
-    for path in tmp_path.glob("*.pkl"):
-        path.unlink()
-    params = suite.scale.params_for("mac")
-    cold = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
-                           cache_dir=tmp_path)
-    cold.cache.record_cost(cold._cache_key("mac", "DRAM", params), 100.0)
-    cold.cache.record_cost(cold._cache_key("mac", "HMC", params), 1.0)
-    jobs = cold.pending_jobs({("mac", k) for k in kinds})
-    assert [job[0][1] for job in jobs] == ["DRAM", "HMC"]
-    # A dominating EWMA-merged measurement on the other job flips the order.
-    cold.cache.record_cost(cold._cache_key("mac", "HMC", params), 500.0)
-    jobs = cold.pending_jobs({("mac", k) for k in kinds})
-    assert [job[0][1] for job in jobs] == ["HMC", "DRAM"]
-
-
-def test_unmeasured_jobs_fall_back_to_calibrated_heuristic(tmp_path):
-    """Jobs without a measurement rank by the static heuristic scaled into
-    seconds, so one measured cheap run cannot leapfrog an unmeasured
-    Active-Routing straggler."""
-    kinds = [SystemKind.DRAM, SystemKind.ARF_TID]
-    suite = EvaluationSuite("tiny", workloads=["mac"], kinds=kinds,
-                            cache_dir=tmp_path)
-    params = suite.scale.params_for("mac")
-    # Only DRAM was ever measured (0.1s); ARF-tid's static cost is 30x DRAM's,
-    # so its calibrated estimate (~3s) must still schedule it first.
-    suite.cache.record_cost(suite._cache_key("mac", "DRAM", params), 0.1)
-    jobs = suite.pending_jobs({("mac", k) for k in kinds})
-    assert [job[0][1] for job in jobs] == ["ARF-tid", "DRAM"]
+    assert cache.prune() == {"tmp_removed": 0, "stale_removed": 0, "kept": 0}
 
 
 def test_default_cache_dir_honors_env(monkeypatch, tmp_path):
@@ -448,6 +230,8 @@ def test_prefetch_stats_and_run_all_reuse(tmp_path):
                             cache_dir=tmp_path)
     stats = suite.prefetch(figures=["speedup"])
     assert stats == {"pairs": 2, "reused": 0, "disk_hits": 0, "simulated": 2}
+    # The cache dir holds the two result entries and nothing else.
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".pkl", ".pkl"]
 
     again = suite.prefetch(figures=["speedup"])
     assert again["simulated"] == 0 and again["reused"] == again["pairs"]
